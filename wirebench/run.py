@@ -116,8 +116,6 @@ def build():
 
 def percentile(sorted_values, q):
     """Nearest-rank percentile of raw samples (no histogram)."""
-    if not sorted_values:
-        return float("nan")
     rank = max(1, math.ceil(q * len(sorted_values)))
     return sorted_values[min(rank, len(sorted_values)) - 1]
 
@@ -129,8 +127,7 @@ def highest_supported_percentile(n):
     return math.floor(1000.0 * (1.0 - 10.0 / n)) / 10.0
 
 
-def median(values):
-    return statistics.median(values) if values else float("nan")
+median = statistics.median
 
 
 # ---------------------------------------------------------------- session
