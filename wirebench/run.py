@@ -42,18 +42,18 @@ BUILD = os.path.join(ROOT, ".bench_build")
 # Each workload loads a different layer (see notes.json for the full
 # layer -> end-to-end map). `vrate` is the *virtual* arrival rate of the
 # generated timeline (it sets occupancy); `ladder` holds the fixed wall
-# rates (req/s) sustained_rps is chosen from (ratio 1.2, placed so the
-# capacity measured on a 4-vCPU host falls mid-gap), `reference_rate` the
-# rate decide_p50/p99 are measured at (0.25-0.5 of that capacity, so the
-# batch-fill wait rather than queueing sets the latency), `limit_ms` the
-# p99 latency limit.
+# rates (req/s) sustained_rps is searched on (ratio 1.2, spanning the
+# capacity measured on a 4-vCPU host), `reference_rate` the rate
+# decide_p50/p99 are measured at (a quarter to a third of that capacity, so
+# the batch-fill wait rather than queueing sets the latency), `limit_ms`
+# the p99 latency limit.
 WORKLOADS = {
     "contended-grid": {
         "rows": 12, "cols": 12, "capacity": 20, "requests": 15000,
         "vrate": 10000, "duration_mean": 0.15, "batch": 100,
         "payments": "dual", "threads": 2,
         "ladder": [7200, 8700, 10400, 12500, 15000, 18000, 21600, 25900],
-        "reference_rate": 5000, "limit_ms": 250.0,
+        "reference_rate": 4000, "limit_ms": 250.0,
     },
     "sparse-mesh-churn": {
         "rows": 316, "cols": 316, "capacity": 16, "requests": 10000,
@@ -64,20 +64,20 @@ WORKLOADS = {
         "reference_rate": 3000, "limit_ms": 250.0,
     },
     "critical-pay": {
-        "rows": 8, "cols": 8, "capacity": 8, "requests": 3000,
+        "rows": 8, "cols": 8, "capacity": 8, "requests": 2000,
         "vrate": 2000, "duration_mean": 0.2, "batch": 10,
         "payments": "critical", "threads": 1,
         "ladder": [820, 980, 1180, 1410, 1690, 2030, 2440, 2930],
-        "reference_rate": 700, "limit_ms": 1000.0,
+        "reference_rate": 500, "limit_ms": 1000.0,
     },
 }
 
-SETUP_SPAWNS = 5          # dedicated set-up samples per run
+SETUP_SPAWNS = 4          # dedicated set-up samples per cycle
 WARMUP_FRAC = 0.25        # paced-session prefix excluded from latency
 MAX_SHORTFALL = 0.08      # decided / offered rate >= 0.92: "no backlog"
 SANITY_EVERY = 4
 SANITY_PREFIX = 0.25      # share of the session the --sanity run replays
-REFERENCE_SESSIONS = 5    # decide_p50/p99 are medians over these
+MIN_CYCLES = 3            # drain + reference + search cycles per run
 SESSION_TIMEOUT_S = 120.0
 
 
@@ -125,6 +125,13 @@ def highest_supported_percentile(n):
     if n <= 10:
         return 0.0
     return math.floor(1000.0 * (1.0 - 10.0 / n)) / 10.0
+
+
+def crossing(rate_lo, score_lo, rate_hi, score_hi):
+    """Rate where the score crosses 1, linear in log-rate between a
+    passing rung (score_lo <= 1) and the failing rung above it."""
+    t = (1.0 - score_lo) / (score_hi - score_lo)
+    return rate_lo * (rate_hi / rate_lo) ** min(1.0, max(0.0, t))
 
 
 median = statistics.median
@@ -431,25 +438,31 @@ class Run:
                 "gen_late_p99_s": percentile(sorted(s.late[warm:]), 0.99),
                 "shortfall": 1.0 - achieved / rate, "achieved": achieved}
 
-    def sustained(self, capacity_hint):
-        """Highest ladder rung whose whole-session p99 is within the limit
-        with no growing backlog (decided rate within MAX_SHORTFALL of the
-        offered rate). The search starts at the highest rung
-        below the drain rate and walks up while rungs pass, down while they
-        fail; latency only rises with the rate once the batch fills fast,
-        so the first pass from above is the answer."""
+    def rung(self, k, tag):
+        """One paced session at ladder rung k. Its score is the worse of
+        p99 / limit and shortfall / MAX_SHORTFALL; the rung is sustained
+        when the score is at most 1."""
+        r = self.paced(tag, self.w["ladder"][k])
+        r["score"] = max(r["p99_ms"] / self.w["limit_ms"],
+                         r["shortfall"] / MAX_SHORTFALL)
+        r["ok"] = r["score"] <= 1.0
+        return r
+
+    def sustained(self, hint, tag):
+        """One search of the fixed ladder for the highest sustained rate.
+        It starts at the highest rung at or below `hint` and walks up while
+        rungs pass, down while they fail, until it holds a passing rung and
+        the failing rung above it; the estimate is where the score crosses
+        1 between the two (see crossing). Returns the rungs tested and the
+        estimate, or None when even the lowest rung fails."""
         ladder = self.w["ladder"]
+        tested = {}
 
         def test(k):
-            r = self.paced(f"rung{k}", ladder[k])
-            r["ok"] = (r["p99_ms"] <= self.w["limit_ms"] and
-                       r["shortfall"] <= MAX_SHORTFALL)
-            tested[k] = r
-            return r["ok"]
+            tested[k] = self.rung(k, f"{tag}-rung{k}")
+            return tested[k]["ok"]
 
-        tested = {}
-        k = max([0] + [i for i, rate in enumerate(ladder)
-                       if rate <= capacity_hint])
+        k = max([0] + [i for i, rate in enumerate(ladder) if rate <= hint])
         if test(k):
             while k + 1 < len(ladder) and test(k + 1):
                 k += 1
@@ -457,7 +470,12 @@ class Run:
             while k > 0 and not test(k - 1):
                 k -= 1
             k -= 1
-        return tested, (tested[k] if k >= 0 else None)
+        if k < 0:
+            return tested, None
+        if k + 1 == len(ladder):
+            return tested, float(ladder[k])
+        return tested, crossing(ladder[k], tested[k]["score"],
+                                ladder[k + 1], tested[k + 1]["score"])
 
     def cleanup(self):
         shutil.rmtree(self.dir, ignore_errors=True)
@@ -467,34 +485,38 @@ class Run:
 
 def end_to_end(run):
     start = time.perf_counter()
-    setup = run.setup_samples()
     run.sanity_session()
-    # Drains and reference sessions alternate so a slow stretch of the
-    # machine lands in a minority of each kind's samples.
-    drains, refs = [], []
-    for k in range(REFERENCE_SESSIONS):
+    # Cycles of set-up spawns, one drain, one reference session and one
+    # sustained search repeat while another fits in the run's seconds (at
+    # least MIN_CYCLES), so a slow stretch of the machine lands in a
+    # minority of each kind's samples; every metric is a median over the
+    # cycles.
+    setup, drains, refs, searches = [], [], [], []
+    while True:
+        t = time.perf_counter()
+        k = len(drains)
+        setup += run.setup_samples()
         drains.append(run.drain(f"drain{k}"))
         refs.append(run.paced(f"reference{k}", run.w["reference_rate"]))
-    rungs, sustained = run.sustained(median([d["rps"] for d in drains]))
-    drains.append(run.drain(f"drain{len(drains)}"))
-    while time.perf_counter() - start < run.seconds:
-        drains.append(run.drain(f"drain{len(drains)}"))
+        hint = searches[-1][1] if searches else drains[-1]["rps"]
+        searches.append(run.sustained(hint or 0.0, f"search{k}"))
+        now = time.perf_counter()
+        if k + 1 >= MIN_CYCLES and now + (now - t) - start > run.seconds:
+            break
     setup += [d["setup_s"] for d in drains]
     replay(run, "replay", False)  # identity gate only, after the timing
 
     n_lat = sum(len(r["lat"]) for r in refs)
     p_max = highest_supported_percentile(len(refs[0]["lat"]))
     s = run.summary
-    if sustained is not None:
-        sustained_rps = sustained["achieved"]
-    else:
-        # Below the ladder: half the lowest rung's rate, flagged below.
-        sustained_rps = 0.5 * run.w["ladder"][0]
+    # Below the ladder: half the lowest rung's rate, flagged below.
+    below = 0.5 * run.w["ladder"][0]
+    estimates = [below if e is None else e for _, e in searches]
     metrics = {
         "setup_s": (median(setup), "s", len(setup)),
         "drain_rps": (median([d["rps"] for d in drains]), "req/s",
                       len(drains)),
-        "sustained_rps": (sustained_rps, "req/s", 1),
+        "sustained_rps": (median(estimates), "req/s", len(estimates)),
         "decide_p50_ms": (median([percentile(r["lat"], 0.50) * 1e3
                                   for r in refs]), "ms", n_lat),
         "decide_p99_ms": (median([r["p99_ms"] for r in refs]), "ms", n_lat),
@@ -517,15 +539,18 @@ def end_to_end(run):
         f"late p99 {r['gen_late_p99_s'] * 1e3:.3f} ms, shortfall "
         f"{r['shortfall']:.4f}" for k, r in enumerate(refs)
     ] + [
-        "ladder (limit p99 <= %g ms): " % run.w["limit_ms"] + ", ".join(
+        "drains (req/s): " + ", ".join(f"{d['rps']:.0f}" for d in drains),
+    ] + [
+        f"search{k} (limit p99 <= {run.w['limit_ms']:g} ms): " + ", ".join(
             f"{r['rate']}:{'ok' if r['ok'] else 'FAIL'}"
             f"(p99 {r['p99_ms']:.1f} ms, shortfall {r['shortfall']:.3f})"
-            for _, r in sorted(rungs.items())),
-        "drains (req/s): " + ", ".join(f"{d['rps']:.0f}" for d in drains),
+            for _, r in sorted(rungs.items()))
+        + ("; below the ladder" if e is None else f" -> {e:.0f} req/s")
+        for k, (rungs, e) in enumerate(searches)
     ]
-    if sustained is None:
-        info.append("sustained_rps: no rung sustained, reported as half "
-                    "the lowest rung")
+    if None in [e for _, e in searches]:
+        info.append("sustained_rps: a search sustained no rung and counts "
+                    "as half the lowest rung")
     return metrics, info
 
 

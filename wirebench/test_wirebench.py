@@ -52,6 +52,13 @@ class Units(unittest.TestCase):
         self.assertEqual(wirebench.highest_supported_percentile(37800), 99.9)
         self.assertEqual(wirebench.highest_supported_percentile(10), 0.0)
 
+    def test_crossing_interpolates_in_log_rate(self):
+        self.assertAlmostEqual(wirebench.crossing(1000, 0.0, 1440, 2.0),
+                               1200.0)
+        self.assertEqual(wirebench.crossing(1000, 1.0, 1200, 3.0), 1000.0)
+        self.assertAlmostEqual(wirebench.crossing(1000, 0.5, 1200, 1.0),
+                               1200.0)
+
     def _events(self, batches, **summary):
         s = {"event": "summary", "requests": sum(batches),
              "admitted": sum(batches), "no_path": 0, "capacity_blocked": 0,
