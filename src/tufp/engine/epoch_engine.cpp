@@ -5,7 +5,7 @@
 #include <optional>
 #include <utility>
 
-#include "tufp/mechanism/allocation_rule.hpp"
+#include "tufp/mechanism/critical_payment.hpp"
 #include "tufp/obs/trace.hpp"
 #include "tufp/util/assert.hpp"
 #include "tufp/util/math.hpp"
@@ -713,7 +713,7 @@ void EpochEngine::apply_payments(std::span<const Request> requests,
       return;
     }
     case PaymentPolicy::kCritical: {
-      // The bisection probes need an epoch instance. Persistent mode has
+      // The withheld solves need an epoch instance. Persistent mode has
       // none — compile it here from the frozen epoch-start residuals
       // (live residuals are untouched until the winner loop below, so
       // this is bit-for-bit the snapshot the legacy path would have
@@ -728,25 +728,26 @@ void EpochEngine::apply_payments(std::span<const Request> requests,
                       std::vector<Request>(requests.begin(), requests.end()));
         instance = &*local;
       }
-      // Winner shard of the epoch clear: each winner's critical-value
-      // bisection is an independent re-solve against the same immutable
-      // epoch instance, so winners fan out across OpenMP threads and the
-      // results land in per-winner slots — byte-identical for any thread
-      // count, read back in arrival order by the allocation loop. The
-      // probe solves run serial (identical output): parallelism lives at
-      // the winner level here, and a parallel inner config would only
-      // allocate engine pools a nested region cannot use — or
-      // oversubscribe when nested OpenMP is enabled.
+      // Winner shard of the epoch clear: each winner is priced by one
+      // solve with it withheld from selection, against the same immutable
+      // epoch instance, and its bisection probes are answered from that
+      // solve's rounds (mechanism/critical_payment.hpp). Winners fan out
+      // across OpenMP threads and the results land in per-winner slots —
+      // byte-identical for any thread count, read back in arrival order
+      // by the allocation loop. The withheld solves run serial (identical
+      // output): parallelism lives at the winner level here, and a
+      // parallel inner config would only allocate engine pools a nested
+      // region cannot use — or oversubscribe when nested OpenMP is
+      // enabled.
       BoundedUfpConfig probe_cfg = solver_cfg;
       probe_cfg.parallel = false;
-      const UfpRule rule = make_bounded_ufp_rule(probe_cfg);
       std::vector<int> winners;
       for (int r = 0; r < instance->num_requests(); ++r) {
         if (run.solution.is_selected(r)) winners.push_back(r);
       }
       const auto price_winner = [&](int r) {
-        const double critical =
-            ufp_critical_value(*instance, rule, r, config_.payment_options);
+        const double critical = ufp_critical_value(
+            *instance, probe_cfg, r, config_.payment_options);
         (*payments)[static_cast<std::size_t>(r)] =
             std::min(critical, instance->request(r).value);
       };

@@ -44,6 +44,30 @@ double ufp_critical_value(const UfpInstance& instance, const UfpRule& rule,
   return bisect_critical(declared.value, wins_at, options, evaluations);
 }
 
+double ufp_critical_value(const UfpInstance& instance,
+                          const BoundedUfpConfig& config, int r,
+                          const PaymentOptions& options) {
+  // Answers each probe from the rounds of one withheld solve: the probe
+  // solve at bid v runs those rounds until r first beats the round's
+  // winner, compared exactly as the solver's selection loop compares —
+  // the same float expression, `<` or a tie settled by the lower id.
+  const std::vector<WithheldRound> rounds =
+      bounded_ufp_withheld(instance, config, r);
+  const Request& declared = instance.request(r);
+  const auto wins_at = [&](double v) {
+    for (const WithheldRound& round : rounds) {
+      if (!round.fits) continue;
+      const double priority = declared.demand / v * round.length;
+      if (priority < round.winner_priority ||
+          (priority == round.winner_priority && r < round.winner)) {
+        return true;
+      }
+    }
+    return false;
+  };
+  return bisect_critical(declared.value, wins_at, options, nullptr);
+}
+
 double muca_critical_value(const MucaInstance& instance, const MucaRule& rule,
                            int r, const PaymentOptions& options,
                            long* evaluations) {
@@ -65,13 +89,13 @@ double ufp_critical_demand(const UfpInstance& instance, const UfpRule& rule,
     probe.demand = d;
     return rule(instance.with_request(r, probe)).is_selected(r);
   };
+  if (evaluations != nullptr) ++*evaluations;
   TUFP_REQUIRE(wins_at(declared.demand),
                "critical demand is defined for winning requests");
-  if (evaluations != nullptr) ++*evaluations;
   double lo = declared.demand;  // known winning
   double hi = 1.0;              // normalized ceiling, possibly winning too
-  if (wins_at(hi)) return hi;
   if (evaluations != nullptr) ++*evaluations;
+  if (wins_at(hi)) return hi;
   for (int step = 0; step < options.max_bisection_steps; ++step) {
     if (hi - lo <= options.tolerance * std::max(1.0, hi)) break;
     const double mid = 0.5 * (lo + hi);

@@ -4,9 +4,14 @@
 // agent (everything else fixed) is an up-closed interval; its infimum is
 // the agent's *critical value*, and charging exactly that makes
 // truth-telling a dominant strategy (Theorem 2.3). Monotonicity makes the
-// critical value computable by bisection on the declared value: each probe
-// re-runs the allocation rule on a single-declaration variant of the
-// instance. Losers pay zero (normalization).
+// critical value computable by bisection on the declared value. For a
+// generic rule each probe re-runs the rule on a single-declaration variant
+// of the instance. For Bounded-UFP one solve per winner answers every
+// probe: the solve with the winner withheld from selection records, round
+// by round, the winner's path length and the round winner's priority, and
+// a probe at bid v replays the selection comparison over those rounds
+// (bounded_ufp_withheld). Both paths run the same bisection, so their
+// payments are bitwise equal. Losers pay zero (normalization).
 //
 // The bisection brackets theta within a configurable relative tolerance;
 // payments are reported as the upper end of the bracket, so they never
@@ -57,6 +62,13 @@ MucaMechanismResult run_muca_mechanism(const MucaInstance& instance,
 double ufp_critical_value(const UfpInstance& instance, const UfpRule& rule,
                           int r, const PaymentOptions& options = {},
                           long* evaluations = nullptr);
+
+// The same critical value under make_bounded_ufp_rule(config), bitwise
+// equal to the overload above, from one withheld solve instead of one
+// solve per probe.
+double ufp_critical_value(const UfpInstance& instance,
+                          const BoundedUfpConfig& config, int r,
+                          const PaymentOptions& options = {});
 
 double muca_critical_value(const MucaInstance& instance, const MucaRule& rule,
                            int r, const PaymentOptions& options = {},

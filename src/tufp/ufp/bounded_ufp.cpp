@@ -35,10 +35,14 @@ void validate_config(const detail::Substrate& sub,
 // deterministic over inputs the unchanged clock certifies as bitwise
 // identical, so reuse is exact — and they stay reusable after the solve
 // only when nothing was admitted (admissions are the sole mutation).
+// A non-null `rounds` withholds request `withheld` from selection and
+// records its view of every round (bounded_ufp_withheld).
 BoundedUfpResult run_bounded_ufp(const detail::Substrate& sub,
                                  const BoundedUfpConfig& config,
                                  detail::SpCache& cache, bool warm_start,
-                                 detail::EpochSolveState* state = nullptr) {
+                                 detail::EpochSolveState* state = nullptr,
+                                 int withheld = -1,
+                                 std::vector<WithheldRound>* rounds = nullptr) {
   const double B = sub.B;
   const double eps = config.epsilon;
   const int R = static_cast<int>(sub.requests.size());
@@ -107,6 +111,7 @@ BoundedUfpResult run_bounded_ufp(const detail::Substrate& sub,
       const Request& req = sub.requests[static_cast<std::size_t>(r)];
       const double priority = req.demand / req.value * entry.length;
       alpha_cert = std::min(alpha_cert, priority);
+      if (r == withheld) continue;
       // Guard status is cached in the entry (sp_cache.hpp): it can only
       // change when the entry itself goes stale, so no per-iteration
       // path rescan. Sound here because this loop's residual is monotone
@@ -125,6 +130,14 @@ BoundedUfpResult run_bounded_ufp(const detail::Substrate& sub,
       // requests is dual feasible, so its value bounds the fractional OPT.
       result.dual_upper_bound = std::min(result.dual_upper_bound,
                                          dual_sum / alpha_cert + primal_value);
+    }
+
+    if (rounds != nullptr) {
+      const auto& entry = cache.entry(withheld);
+      rounds->push_back(
+          {entry.length,
+           entry.reachable && (!config.capacity_guard || entry.fits), best,
+           best_priority});
     }
 
     if (best < 0) break;  // nothing reachable (or nothing fits under guard)
@@ -238,6 +251,29 @@ BoundedUfpResult bounded_ufp(const UfpInstance& instance,
   detail::SpCache cache(instance, config.parallel, config.num_threads,
                         config.sp_kernel);
   return run_bounded_ufp(sub, config, cache, /*warm_start=*/false);
+}
+
+std::vector<WithheldRound> bounded_ufp_withheld(const UfpInstance& instance,
+                                                const BoundedUfpConfig& config,
+                                                int withheld) {
+  TUFP_REQUIRE(instance.is_normalized(),
+               "Bounded-UFP requires demands in (0,1]; call normalized() first");
+  TUFP_REQUIRE(withheld >= 0 && withheld < instance.num_requests(),
+               "withheld request index out of range");
+  const detail::Substrate sub = detail::substrate_of(instance);
+  validate_config(sub, config);
+  // Neither the exit classification nor the dual export changes a
+  // selection, so the withheld solve skips both.
+  BoundedUfpConfig cfg = config;
+  cfg.classify_rejections = false;
+  cfg.export_duals = false;
+  cfg.record_trace = false;
+  detail::SpCache cache(instance, cfg.parallel, cfg.num_threads,
+                        cfg.sp_kernel);
+  std::vector<WithheldRound> rounds;
+  run_bounded_ufp(sub, cfg, cache, /*warm_start=*/false, /*state=*/nullptr,
+                  withheld, &rounds);
+  return rounds;
 }
 
 BoundedUfpResult bounded_ufp(const ResidualView& view,

@@ -22,6 +22,7 @@
 #include "tufp/ufp/instance.hpp"
 #include "tufp/ufp/solution.hpp"
 #include "tufp/ufp/workspace.hpp"
+#include "tufp/util/math.hpp"
 
 namespace tufp {
 
@@ -157,6 +158,31 @@ struct BoundedUfpResult {
 // eps*B within safe double exponent range (util/math.hpp).
 BoundedUfpResult bounded_ufp(const UfpInstance& instance,
                              const BoundedUfpConfig& config = {});
+
+// One selection round of a withheld solve, seen from the withheld request.
+struct WithheldRound {
+  // |p|_y of the withheld request's shortest path after the round's
+  // refresh, and whether that path was a candidate at all: reachable and,
+  // under the capacity guard, fitting the residual capacities.
+  double length = kInf;
+  bool fits = false;
+  // The round's selection among the other requests and its priority
+  // (d/v)·|p|_y; -1 and kInf when none of them fits (the solve's last
+  // round).
+  int winner = -1;
+  double winner_priority = kInf;
+};
+
+// Algorithm 1 with request `withheld` kept in every shortest-path refresh
+// but never selectable; one WithheldRound per round. Selection reads a
+// request's value only through the argmin of (d/v)·|p|_y, so the solve
+// with `withheld` declaring any value v runs these same rounds until the
+// first one it wins — which is what critical-value bisection probes ask
+// (mechanism/critical_payment.hpp). Rejections, duals and the trace are
+// not produced. Preconditions as bounded_ufp(instance, config).
+std::vector<WithheldRound> bounded_ufp_withheld(const UfpInstance& instance,
+                                                const BoundedUfpConfig& config,
+                                                int withheld);
 
 // Hot-path entry point: solves over a persistent residual view without
 // compiling a per-epoch instance. Edge ids are base-graph ids; blocked

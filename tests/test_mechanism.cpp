@@ -150,6 +150,178 @@ TEST(CriticalPayment, EvaluationCountIsBounded) {
             static_cast<long>(res.allocation.num_selected()) * 10);
 }
 
+// `rule`, counting its runs in *runs.
+UfpRule counting(UfpRule rule, int* runs) {
+  return [rule = std::move(rule), runs](const UfpInstance& probe) {
+    ++*runs;
+    return rule(probe);
+  };
+}
+
+TEST(CriticalDemand, EvaluationCountIncludesEveryProbe) {
+  // Wins at its declared demand and at the ceiling: the early return after
+  // the ceiling probe has still run the rule twice.
+  Graph g = Graph::directed(2);
+  g.add_edge(0, 1, 10.0);
+  g.finalize();
+  UfpInstance inst(std::move(g), {{0, 1, 0.3, 5.0}});
+  int runs = 0;
+  long evaluations = 0;
+  EXPECT_DOUBLE_EQ(ufp_critical_demand(inst,
+                                       counting(make_bounded_ufp_rule(), &runs),
+                                       0, {}, &evaluations),
+                   1.0);
+  EXPECT_EQ(runs, 2);
+  EXPECT_EQ(evaluations, runs);
+
+  // Contested winners take the bisection path; the count still matches.
+  const UfpInstance contested = competitive_instance(230);
+  const UfpSolution won = saturating_rule()(contested);
+  for (int r = 0; r < contested.num_requests(); ++r) {
+    if (!won.is_selected(r)) continue;
+    runs = 0;
+    evaluations = 0;
+    ufp_critical_demand(contested, counting(saturating_rule(), &runs), r, {},
+                        &evaluations);
+    EXPECT_EQ(evaluations, runs) << "request " << r;
+  }
+}
+
+// Features of the withheld rounds the exact-equality test must reach.
+struct WithheldCoverage {
+  int winners = 0;
+  int guard_skips = 0;   // rounds where the winner's path did not fit
+  int last_left = 0;     // winners whose threshold is set by a round
+                         // with no competitor left
+};
+
+// The fast overload against the generic bisection over
+// make_bounded_ufp_rule(cfg), compared with EXPECT_EQ on every winner, and
+// each payment inside the bracket around the exact threshold: the minimum
+// over rounds of the bid at which the winner beats that round's selection.
+void expect_fast_equals_generic(const UfpInstance& inst,
+                                const BoundedUfpConfig& cfg,
+                                WithheldCoverage* coverage) {
+  const UfpRule rule = make_bounded_ufp_rule(cfg);
+  const UfpSolution allocation = rule(inst);
+  PaymentOptions options;
+  for (int r = 0; r < inst.num_requests(); ++r) {
+    if (!allocation.is_selected(r)) continue;
+    ++coverage->winners;
+    const double fast = ufp_critical_value(inst, cfg, r, options);
+    const double generic = ufp_critical_value(inst, rule, r, options);
+    EXPECT_EQ(fast, generic) << "request " << r;
+
+    const double demand = inst.request(r).demand;
+    double theta = kInf;
+    bool set_by_last = false;
+    for (const WithheldRound& round : bounded_ufp_withheld(inst, cfg, r)) {
+      if (!round.fits) {
+        ++coverage->guard_skips;
+        continue;
+      }
+      const double at = round.winner < 0
+                            ? 0.0
+                            : demand * round.length / round.winner_priority;
+      if (at < theta) {
+        theta = at;
+        set_by_last = round.winner < 0;
+      }
+    }
+    if (set_by_last) ++coverage->last_left;
+    // The solver compares a rounded product, so the exact quotient may sit
+    // a few ulps off either way.
+    const double ulps = 1e-12 * theta;
+    EXPECT_GE(fast, theta - ulps) << "request " << r;
+    EXPECT_LE(fast, theta + options.tolerance * std::max(1.0, fast) + ulps)
+        << "request " << r;
+  }
+}
+
+// The multi-instance cases solve serially, as the engine prices: a thread
+// pool per probe solve would only add OpenMP start-up to thousands of tiny
+// solves.
+TEST(CriticalPaymentFast, EqualsGenericBisectionUnderSaturation) {
+  BoundedUfpConfig cfg;
+  cfg.run_to_saturation = true;
+  cfg.parallel = false;
+  WithheldCoverage coverage;
+  for (std::uint64_t seed = 240; seed < 248; ++seed) {
+    expect_fast_equals_generic(competitive_instance(seed, 12), cfg,
+                               &coverage);
+  }
+  EXPECT_GT(coverage.winners, 20);
+  EXPECT_GT(coverage.guard_skips, 0);
+  EXPECT_GT(coverage.last_left, 0);
+}
+
+TEST(CriticalPaymentFast, EqualsGenericBisectionUnderFaithfulThreshold) {
+  // Capacity 6 with eps = 1 puts the threshold e^5 above the initial dual
+  // sum, so the faithful loop selects and then stops on the threshold
+  // with requests still fitting.
+  BoundedUfpConfig cfg;
+  cfg.epsilon = 1.0;
+  cfg.parallel = false;
+  WithheldCoverage coverage;
+  int threshold_stops = 0;
+  for (std::uint64_t seed = 250; seed < 253; ++seed) {
+    Rng rng(seed);
+    Graph g = grid_graph(3, 3, 6.0, false);
+    RequestGenConfig gen;
+    gen.num_requests = 40;
+    std::vector<Request> reqs = generate_requests(g, gen, rng);
+    const UfpInstance inst(std::move(g), std::move(reqs));
+    const BoundedUfpResult run = bounded_ufp(inst, cfg);
+    if (run.stopped_by_threshold && run.iterations > 0) ++threshold_stops;
+    expect_fast_equals_generic(inst, cfg, &coverage);
+  }
+  EXPECT_EQ(threshold_stops, 3);
+  EXPECT_GT(coverage.winners, 50);
+}
+
+TEST(CriticalPaymentFast, PowerOfTwoBidTiesSettleByRequestId) {
+  // One edge that fits a single request: the rival bids 2, the winner 4,
+  // so the first probe (mid = 2) ties the rival's density exactly and the
+  // lower id takes it.
+  for (const bool winner_first : {true, false}) {
+    Graph g = Graph::directed(2);
+    g.add_edge(0, 1, 1.0);
+    g.finalize();
+    const Request winner{0, 1, 0.5, 4.0};
+    const Request rival{0, 1, 0.5, 2.0};
+    const UfpInstance inst =
+        winner_first ? UfpInstance(std::move(g), {winner, rival})
+                     : UfpInstance(std::move(g), {rival, winner});
+    const int r = winner_first ? 0 : 1;
+    const BoundedUfpConfig cfg;
+    const double fast = ufp_critical_value(inst, cfg, r);
+    EXPECT_EQ(fast, ufp_critical_value(inst, make_bounded_ufp_rule(cfg), r));
+    if (winner_first) {
+      EXPECT_EQ(fast, 2.0);  // the tie itself wins
+    } else {
+      EXPECT_GT(fast, 2.0);  // must strictly outbid
+    }
+    WithheldCoverage coverage;
+    expect_fast_equals_generic(inst, cfg, &coverage);
+    EXPECT_EQ(coverage.winners, 1);
+  }
+}
+
+TEST(CriticalPaymentFast, LoneWinnerIsTheLastRequestLeft) {
+  Graph g = Graph::directed(2);
+  g.add_edge(0, 1, 10.0);
+  g.finalize();
+  const UfpInstance inst(std::move(g), {{0, 1, 1.0, 5.0}});
+  const std::vector<WithheldRound> rounds =
+      bounded_ufp_withheld(inst, BoundedUfpConfig{}, 0);
+  ASSERT_EQ(rounds.size(), 1u);
+  EXPECT_EQ(rounds[0].winner, -1);
+  EXPECT_TRUE(rounds[0].fits);
+  WithheldCoverage coverage;
+  expect_fast_equals_generic(inst, BoundedUfpConfig{}, &coverage);
+  EXPECT_EQ(coverage.last_left, 1);
+}
+
 
 TEST(CriticalDemand, ThresholdBracketsWinLose) {
   const UfpInstance inst = competitive_instance(230);
