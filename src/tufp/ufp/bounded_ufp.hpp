@@ -71,8 +71,8 @@ struct BoundedUfpConfig {
   // and export per-request warm-tree provenance (result.warm). The
   // classification reads only the solver's own deterministic exit state —
   // cached entries, the live residual, the epoch-start capacities — so
-  // records are identical across kernels, thread counts and shard
-  // layouts (the trace-differential oracle's contract, DESIGN.md §14).
+  // records are identical across kernels and thread counts (the
+  // trace-differential oracle's contract, DESIGN.md §14).
   // Cost: O(rejected × path length) once per solve.
   bool classify_rejections = false;
 
@@ -90,9 +90,9 @@ struct IterationRecord {
 };
 
 // Why an unselected request lost, judged at loop exit (DESIGN.md §14).
-// The solver speaks capacity language only; the engine maps kCapacityRace
-// onto its shard vocabulary (the request lost an intra-epoch capacity
-// race to earlier winners — the cross-shard-contention outcome class).
+// The solver speaks capacity language only; the engine reports
+// kCapacityRace (the request lost an intra-epoch capacity race to
+// earlier winners) under the wire name shard_conflict.
 enum class RejectReason {
   kNoPath,          // no residual-feasible route exists at all
   kBlockedAtStart,  // candidate path short of capacity even at epoch start
@@ -121,7 +121,7 @@ struct BoundedUfpResult {
   // sum_e c_e y_e when the loop exited.
   double final_dual_sum = 0.0;
   // Final dual weights y_e (inputs to dual_certificate / diagnostics).
-  std::vector<double> y;
+  std::vector<double> y{};
 
   // Best (smallest) dual-feasible upper bound on the *fractional* optimum
   // observed during the run: min_i D1(i)/alpha(i) + P(i) (Claim 3.6).
@@ -145,13 +145,13 @@ struct BoundedUfpResult {
   // when no two stale requests ever share a source.
   std::int64_t sp_tree_runs = 0;
 
-  std::vector<IterationRecord> trace;
+  std::vector<IterationRecord> trace{};
 
   // classify_rejections only: one record per unselected request in
   // ascending request order, and per-request warm-tree provenance
   // (sp_cache Entry::warm at exit) for every request, winners included.
-  std::vector<RejectionRecord> rejections;
-  std::vector<std::uint8_t> warm;
+  std::vector<RejectionRecord> rejections{};
+  std::vector<std::uint8_t> warm{};
 };
 
 // Preconditions: normalized instance (d_r <= 1), B >= 1, eps in (0,1],

@@ -35,7 +35,7 @@ struct BoundedUfpRepeatResult {
   UfpMultiSolution solution;
   std::int64_t iterations = 0;
   double final_dual_sum = 0.0;
-  std::vector<double> y;
+  std::vector<double> y{};
   // min_i D(i)/alpha(i) (Claim 5.2): upper bound on the fractional OPT of
   // Figure 5's relaxation.
   double dual_upper_bound = 0.0;
@@ -43,7 +43,7 @@ struct BoundedUfpRepeatResult {
   bool hit_iteration_cap = false;
   // Dijkstra computations performed (see BoundedUfpResult::sp_computations).
   std::int64_t sp_computations = 0;
-  std::vector<IterationRecord> trace;
+  std::vector<IterationRecord> trace{};
 };
 
 BoundedUfpRepeatResult bounded_ufp_repeat(

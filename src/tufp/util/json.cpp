@@ -77,6 +77,13 @@ JsonObject& JsonObject::raw(std::string_view name, std::string_view json) {
   return *this;
 }
 
-std::string JsonObject::str() const { return "{" + body_.str() + "}"; }
+std::string JsonObject::str() const {
+  // Appended in place: GCC 12 flags `"{" + body_.str() + "}"` with a
+  // spurious -Wrestrict from the inlined operator+ overlap check.
+  std::string out = "{";
+  out += body_.str();
+  out += '}';
+  return out;
+}
 
 }  // namespace tufp

@@ -219,7 +219,7 @@ TEST(SpCache, SharedSourcesRefreshFromOneTree) {
   EXPECT_EQ(cache.tree_runs_last_refresh(), 2);  // sources {0, 1}
 }
 
-TEST(SpCache, RebindReusesShardPlanAcrossEpochs) {
+TEST(SpCache, RebindReusesSourcePlanAcrossEpochs) {
   // The cross-epoch regression this PR fixes: rebind() used to re-shard
   // the batch by source on every call, paying O(batch) plan construction
   // per epoch even when a resident driver replays the same source

@@ -34,13 +34,6 @@
 //   --queue N                bounded queue capacity (default 65536)
 //   --payments none|dual|critical                     (default dual)
 //   --threads N / --eps X / --sp-kernel auto|heap|bucket
-//   --shards N               region shards behind the decider (default 1).
-//                            N > 1 routes every admission through the
-//                            two-phase reserve/commit protocol
-//                            (DESIGN.md §13); the deterministic telemetry
-//                            stream stays byte-identical to --shards 1,
-//                            and --sanity audits the shard books against
-//                            the global stores on every sweep
 //   --horizon X              advance the clock to X at shutdown and
 //                            reclaim what expired (default 0)
 // Framing:
@@ -108,7 +101,6 @@
 #include "cli_util.hpp"
 #include "tufp/engine/epoch_engine.hpp"
 #include "tufp/engine/request_stream.hpp"
-#include "tufp/engine/sharded_engine.hpp"
 #include "tufp/obs/sanity.hpp"
 #include "tufp/obs/telemetry.hpp"
 #include "tufp/obs/trace.hpp"
@@ -144,7 +136,6 @@ struct Options {
   int threads = 0;
   double eps = 1.0 / 6.0;
   std::string sp_kernel = "auto";
-  int shards = 1;
   double horizon = 0.0;
   std::size_t max_line = 65536;
 
@@ -167,7 +158,7 @@ struct Options {
          "  [--vertices N] [--edges N] [--capacity X] [--seed S]\n"
          "  [--max-batch N] [--epoch-duration X] [--queue N]\n"
          "  [--payments none|dual|critical] [--threads N] [--eps X]\n"
-         "  [--sp-kernel auto|heap|bucket] [--shards N] [--horizon X]\n"
+         "  [--sp-kernel auto|heap|bucket] [--horizon X]\n"
          "  [--max-line BYTES]\n"
          "  [--telemetry PATH|-] [--det-only] [--hist-every N]\n"
          "  [--trace PATH] [--sanity every-N] [--repro-dir DIR]\n"
@@ -202,7 +193,6 @@ Options parse(int argc, char** argv) {
     else if (a == "--threads") opt.threads = std::stoi(value(i));
     else if (a == "--eps") opt.eps = std::stod(value(i));
     else if (a == "--sp-kernel") opt.sp_kernel = value(i);
-    else if (a == "--shards") opt.shards = std::stoi(value(i));
     else if (a == "--horizon") opt.horizon = std::stod(value(i));
     else if (a == "--max-line") opt.max_line = std::stoull(value(i));
     else if (a == "--telemetry") opt.telemetry = value(i);
@@ -218,8 +208,7 @@ Options parse(int argc, char** argv) {
     else if (a == "--inject") opt.inject = value(i);
     else usage();
   }
-  if (opt.max_batch < 1 || opt.epoch_duration < 0.0 || opt.shards < 1 ||
-      opt.max_line < 1) {
+  if (opt.max_batch < 1 || opt.epoch_duration < 0.0 || opt.max_line < 1) {
     usage();
   }
   if (!opt.inject.empty() && opt.inject != "leak-expired-capacity") usage();
@@ -385,18 +374,7 @@ class ServeSession {
     if (opt.inject == "leak-expired-capacity") {
       config.inject_reclaim_leak = 0.05;
     }
-    // --shards N>1 interposes the two-phase region-shard protocol
-    // (DESIGN.md §13) behind the same decider; the session keeps driving
-    // the inner engine, so the det telemetry stream stays byte-identical
-    // to the single-engine daemon.
-    if (opt.shards > 1) {
-      sharded_ = std::make_unique<ShardedEpochEngine>(std::move(graph),
-                                                      config, opt.shards);
-      engine_ = &sharded_->engine();
-    } else {
-      single_ = std::make_unique<EpochEngine>(std::move(graph), config);
-      engine_ = single_.get();
-    }
+    engine_ = std::make_unique<EpochEngine>(std::move(graph), config);
     if (trace_ != nullptr) engine_->set_decision_trace(trace_);
     if (opt.epoch_duration > 0.0) window_end_ = opt.epoch_duration;
   }
@@ -556,15 +534,6 @@ class ServeSession {
     AdmissionReport report = engine_->run_epoch(batch, close_time);
     report.queue_depth = static_cast<std::int64_t>(queue_.size());
     telemetry_.on_epoch(report, engine_->metrics());
-    if (sharded_ && !sharded_->epoch_reports().empty()) {
-      const ShardEpochReport& sr = sharded_->epoch_reports().back();
-      for (std::size_t s = 0; s < sr.per_shard.size(); ++s) {
-        const shard::ShardCounters& c = sr.per_shard[s];
-        telemetry_.on_shard_epoch(sr.epoch, static_cast<int>(s),
-                                  c.reservations, c.conflicts, c.aborts,
-                                  c.commits, c.reclaims);
-      }
-    }
     clock_ = std::max(clock_, close_time);
     if (opt_.sanity_every > 0 &&
         engine_->epochs_run() % opt_.sanity_every == 0) {
@@ -592,19 +561,10 @@ class ServeSession {
   }
 
   void run_sanity() {
-    std::vector<obs::SanityViolation> violations =
+    const std::vector<obs::SanityViolation> violations =
         obs::run_sanity_checks(*engine_);
-    int checks = obs::sanity_check_count(*engine_);
-    // Sharded service: the per-shard residual stores and lease books are
-    // audited against the global state on the same sweep (exact ==, the
-    // shard-conserve invariant from the fuzzer, in service).
-    if (sharded_) {
-      ++checks;
-      for (std::string& detail : sharded_->verify()) {
-        violations.push_back({"shard-conserve", std::move(detail)});
-      }
-    }
-    telemetry_.on_sanity(engine_->epochs_run(), checks,
+    telemetry_.on_sanity(engine_->epochs_run(),
+                         obs::sanity_check_count(*engine_),
                          static_cast<int>(violations.size()));
     if (violations.empty()) return;
     violated_ = true;
@@ -700,9 +660,7 @@ class ServeSession {
   }
 
   const Options& opt_;
-  std::unique_ptr<ShardedEpochEngine> sharded_;  // only when --shards > 1
-  std::unique_ptr<EpochEngine> single_;          // only when --shards == 1
-  EpochEngine* engine_ = nullptr;  // the decider, whichever owns it
+  std::unique_ptr<EpochEngine> engine_;
   BoundedRequestQueue queue_;
   obs::TelemetrySink* sink_;
   obs::DecisionTrace* trace_;  // null without --trace

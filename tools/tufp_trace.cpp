@@ -4,8 +4,8 @@
 // Usage:
 //   tufp_trace explain <trace.jsonl> <request-id>
 //       Narrate every record for the request: what was decided, why, and
-//       the evidence (path, density, bottleneck edge, conflict shard,
-//       payment, warm/fresh SP provenance, lease window).
+//       the evidence (path, density, bottleneck edge, payment,
+//       warm/fresh SP provenance, lease window).
 //   tufp_trace top <trace.jsonl> [--by outcome|edge|phase] [--limit N]
 //       Aggregate the trace: decision counts per outcome (default),
 //       bottleneck pressure per edge, or — for a collapsed-stack file
@@ -153,10 +153,8 @@ void narrate(const std::string& line) {
   } else if (outcome == "shard_conflict") {
     std::cout << "  path " << path
               << " fit at epoch start but lost the intra-epoch capacity "
-                 "race; bottleneck edge "
-              << int_field(line, "bottleneck_edge")
-              << " in canonical-lattice shard "
-              << int_field(line, "conflict_shard") << "\n";
+                 "race to earlier winners; bottleneck edge "
+              << int_field(line, "bottleneck_edge") << "\n";
   } else if (outcome == "invalid") {
     std::cout << "  malformed bid, shed before any auction\n";
   } else if (outcome == "lease_expired") {
