@@ -17,7 +17,8 @@
 //   --scale           add the serving scale tier: 10^5-vertex worlds
 //                     (316x316 grid, 10^5-vertex telecom mesh) clearing
 //                     10^6 streamed requests, each as a persistent /
-//                     snapshot row pair — the committed acceptance
+//                     snapshot row pair — the production engine vs the
+//                     naive reference engine, the committed acceptance
 //                     numbers for the persistent residual graph
 //                     (DESIGN.md §12)
 //   --scale-only      run only the scale cases (CI splits tiers)
@@ -42,9 +43,11 @@
 #include "tufp/engine/epoch_engine.hpp"
 #include "tufp/engine/request_stream.hpp"
 #include "tufp/obs/trace.hpp"
+#include "tufp/sim/reference_engine.hpp"
 #include "tufp/util/parallel.hpp"
 #include "tufp/util/stats.hpp"
 #include "tufp/util/table.hpp"
+#include "tufp/util/timer.hpp"
 #include "tufp/workload/scenarios.hpp"
 
 namespace {
@@ -65,9 +68,10 @@ struct BenchCase {
   // steady-state benchmark: the horizon stretches with the request count
   // while the active lease set stays bounded by capacity x duration.
   DurationConfig durations = {};
-  // Scale tier (DESIGN.md §12). `persistent` toggles the engine's
-  // residual mode so every scale world runs as a persistent/snapshot row
-  // pair; `vertices > 0` selects the random telecom topology instead of
+  // Scale tier (DESIGN.md §12). `persistent` picks the production
+  // EpochEngine; off, the row drives sim::ReferenceEngine (a fresh
+  // snapshot and solve per epoch) so every scale world runs as a
+  // persistent/snapshot row pair; `vertices > 0` selects the random telecom topology instead of
   // the grid. The sampler overrides exist for 10^6-request streams:
   // assume_connected skips the per-sample reachability Dijkstra (legal
   // on these strongly connected worlds) and source_pool concentrates
@@ -149,46 +153,78 @@ BenchRow run_case(const BenchCase& c) {
   config.max_batch = c.max_batch;
   config.payments = c.payments;
   config.solver.num_threads = c.threads;
-  config.persistent_residual = c.persistent;
-  EpochEngine engine(scenario.graph, config);
 
   PoissonStream stream(scenario.graph, scenario.request_config,
                        /*rate=*/10000.0, c.requests, /*seed=*/1,
                        c.durations);
 
-  std::int64_t active_max = 0;
-  double last_close = 0.0;
-  std::vector<double> reclaim_per_epoch;
-  obs::SpanProfiler profiler;
-  obs::SpanProfiler* previous = obs::install_span_profiler(&profiler);
-  const EngineSummary summary =
-      engine.run(stream, [&](const AdmissionReport& r) {
-        active_max = std::max(active_max, r.active_leases);
-        last_close = std::max(last_close, r.close_time);
-        reclaim_per_epoch.push_back(r.reclaim_seconds);
-      });
-  obs::install_span_profiler(previous);
-
+  // Every row field is read off the epoch reports, the same for both
+  // engines: the production engine's own histograms record exactly these
+  // per-epoch values.
   BenchRow row;
   row.config = c;
-  row.admitted = summary.counters.admitted;
-  row.admitted_fraction = summary.admitted_fraction;
-  row.revenue = summary.counters.revenue;
-  row.requests_per_second = summary.requests_per_second;
-  row.solve_p50 = engine.metrics().solve_seconds().percentile(0.5);
-  row.solve_p99 = engine.metrics().solve_seconds().percentile(0.99);
-  row.wall_seconds = summary.wall_seconds;
-  const auto& solve = engine.metrics().solve_seconds().stats();
+  std::int64_t seen = 0;
+  std::int64_t offered = 0;
+  double last_close = 0.0;
+  GeometricHistogram solve_hist;
+  std::vector<double> reclaim_per_epoch;
+  const auto on_epoch = [&](const AdmissionReport& r) {
+    seen += r.batch_size;
+    offered += r.batch_size - r.invalid_rejected;
+    row.admitted += r.admitted;
+    row.revenue += r.revenue;
+    row.leases_expired += r.expired_leases;
+    row.active_leases_max = std::max(row.active_leases_max, r.active_leases);
+    row.active_leases_final = r.active_leases;
+    row.occupancy_final = r.occupancy;
+    last_close = std::max(last_close, r.close_time);
+    solve_hist.record(r.solve_seconds);
+    reclaim_per_epoch.push_back(r.reclaim_seconds);
+  };
+  obs::SpanProfiler profiler;
+  obs::SpanProfiler* previous = obs::install_span_profiler(&profiler);
+  if (c.persistent) {
+    EpochEngine engine(scenario.graph, config);
+    row.wall_seconds = engine.run(stream, on_epoch).wall_seconds;
+    row.trees_kept_on_reclaim =
+        engine.metrics().counters().trees_kept_on_reclaim;
+    row.trees_dropped_on_reclaim =
+        engine.metrics().counters().trees_dropped_on_reclaim;
+  } else {
+    // The count-based batching EpochEngine::run does without an
+    // epoch_duration: consecutive max_batch chunks of the stream, each
+    // closing at its last arrival.
+    sim::ReferenceEngine engine(scenario.graph, config);
+    WallTimer timer;
+    std::vector<TimedRequest> batch;
+    TimedRequest next;
+    for (bool more = true; more;) {
+      batch.clear();
+      while (static_cast<int>(batch.size()) < c.max_batch &&
+             (more = stream.next(&next))) {
+        batch.push_back(next);
+      }
+      if (!batch.empty()) on_epoch(engine.run_epoch(batch));
+    }
+    row.wall_seconds = timer.elapsed_seconds();
+  }
+  obs::install_span_profiler(previous);
+
+  row.admitted_fraction =
+      offered > 0 ? static_cast<double>(row.admitted) /
+                        static_cast<double>(offered)
+                  : 0.0;
+  row.requests_per_second =
+      row.wall_seconds > 0.0 ? static_cast<double>(seen) / row.wall_seconds
+                             : 0.0;
+  row.solve_p50 = solve_hist.percentile(0.5);
+  row.solve_p99 = solve_hist.percentile(0.99);
+  const auto& solve = solve_hist.stats();
   row.solve_seconds_total = solve.mean() * static_cast<double>(solve.count());
   row.clear_requests_per_second =
       row.solve_seconds_total > 0.0
-          ? static_cast<double>(summary.counters.requests_seen) /
-                row.solve_seconds_total
+          ? static_cast<double>(seen) / row.solve_seconds_total
           : 0.0;
-  row.active_leases_max = active_max;
-  row.active_leases_final = summary.active_leases;
-  row.leases_expired = summary.counters.leases_expired;
-  row.occupancy_final = summary.occupancy;
   row.virtual_horizon = last_close;
   // Second-half vs first-half mean per-epoch reclaim wall time: flat
   // (~1x) means expiry processing did not grow with the horizon.
@@ -203,10 +239,6 @@ BenchRow run_case(const BenchCase& c) {
     second /= static_cast<double>(reclaim_per_epoch.size() - half);
     row.reclaim_flat_ratio = first > 0.0 ? second / first : 0.0;
   }
-  row.trees_kept_on_reclaim =
-      engine.metrics().counters().trees_kept_on_reclaim;
-  row.trees_dropped_on_reclaim =
-      engine.metrics().counters().trees_dropped_on_reclaim;
   row.span_reclaim_seconds = profiler.phase_seconds("reclaim");
   row.span_snapshot_seconds = profiler.phase_seconds("snapshot");
   row.span_solve_seconds = profiler.phase_seconds("solve");
@@ -325,28 +357,28 @@ int main(int argc, char** argv) {
                      PaymentPolicy::kDualPrice});
   }
   if (scale_only || scale_churn_only) cases.clear();
+  // Each scale world runs as a persistent/snapshot row pair.
+  const auto add_pair = [&](BenchCase base) {
+    const std::string name = base.name;
+    base.name = name + "-persistent";
+    cases.push_back(base);
+    base.persistent = false;
+    base.name = name + "-snapshot";
+    cases.push_back(base);
+  };
   if (scale) {
     // Serving scale tier (DESIGN.md §12): 10^5-vertex worlds clearing a
-    // 10^6-request stream, each as a persistent/snapshot pair differing
-    // ONLY in EpochEngineConfig::persistent_residual (allocations are
-    // identical — the residual-differential oracle pins that — so the
-    // clear_requests_per_second ratio isolates the epoch-clear machinery).
-    // The workload is a hub overload: 8 hub sources whose adjacent edges
-    // saturate within the first epochs, after which every epoch still
-    // pays its full epoch-open cost — an O(m) in-place rescan
-    // (persistent) vs the legacy snapshot recompile (allocate + rebuild
-    // CSR + translate ids + rebuild solver caches). That steady overload
+    // 10^6-request stream, each as a persistent/snapshot pair: the
+    // production engine vs the reference engine under one config
+    // (allocations are identical — the config-diff oracle pins that — so
+    // the clear_requests_per_second ratio isolates the epoch-clear
+    // machinery). The workload is a hub overload: 8 hub sources whose
+    // adjacent edges saturate within the first epochs, after which every
+    // epoch still pays its full epoch-open cost — an O(m) in-place rescan
+    // (persistent) vs the reference's snapshot recompile (allocate +
+    // rebuild CSR + translate ids + rebuild solver caches). That steady overload
     // is where the two modes differ and what the committed >= 5x
     // acceptance ratio in bench/baseline_engine.json measures.
-    const auto add_pair = [&](BenchCase base) {
-      base.persistent = true;
-      base.name += "-persistent";
-      cases.push_back(base);
-      base.persistent = false;
-      base.name.replace(base.name.size() - std::string("persistent").size(),
-                        std::string::npos, "snapshot");
-      cases.push_back(base);
-    };
     BenchCase grid;
     grid.name = "scale-grid316";
     grid.rows = 316;  // 316 x 316 = 99856 vertices
@@ -386,15 +418,6 @@ int main(int argc, char** argv) {
     // clear_requests_per_second. The hub regions run at steady mid-band
     // load (occupancy_final in the JSON tracks the global gauge, which
     // reads low because the load is local by design).
-    const auto add_pair = [&](BenchCase base) {
-      base.persistent = true;
-      base.name += "-persistent";
-      cases.push_back(base);
-      base.persistent = false;
-      base.name.replace(base.name.size() - std::string("persistent").size(),
-                        std::string::npos, "snapshot");
-      cases.push_back(base);
-    };
     DurationConfig exp_churn;
     exp_churn.profile = DurationProfile::kExponential;
     // Steady-state per-hub demand = rate x mean x admit x d_mean / pool

@@ -1,22 +1,25 @@
-// EpochEngine — epoch-batched online UFP auctions over graph snapshots.
+// EpochEngine — epoch-batched online UFP auctions over a persistent
+// residual graph.
 //
 // The serving layer on top of the paper's one-shot mechanism. Bids arrive
 // continuously (engine/request_stream.hpp); the engine batches them into
 // epochs and clears each epoch as a Bounded-UFP auction on the *residual*
-// network: a GraphSnapshot compiled from the base topology minus the
-// capacity held by every currently *leased* request. An admission is a
-// lease (temporal/lease_ledger.hpp): requests carry a duration, infinite
-// by default — which reproduces the historical hold-forever semantics
-// byte-for-byte — and finite otherwise, in which case the lease's
-// capacity returns to the residual when it expires. Expiries are drained
-// at every epoch boundary, before the epoch's snapshot is compiled, in
-// deterministic (expiry time, lease id) order off a hierarchical timer
-// wheel, so the per-epoch reclaim cost is amortized O(1) per expiry and
-// the admission history stays byte-identical across thread counts. Each
-// epoch remains a per-auction application of the paper's mechanism over
-// the residual left by expired *and* active leases, so the monotonicity/
-// exactness guarantees are untouched (§5's repeated-auction view, now
-// with the good genuinely recurring).
+// network: one ResidualGraph (graph/residual_csr.hpp) per world holding
+// the base capacities minus the capacity of every currently *leased*
+// request, updated in place (DESIGN.md §12). An admission is a lease
+// (temporal/lease_ledger.hpp): requests carry a duration, infinite by
+// default — the historical hold-forever semantics — and finite
+// otherwise, in which case the lease's capacity returns to the residual
+// when it expires. Expiries are drained at every epoch
+// boundary, before the epoch's residual view opens, in deterministic
+// (expiry time, lease id) order off a hierarchical timer wheel, so the
+// per-epoch reclaim cost is amortized O(1) per expiry and the admission
+// history stays byte-identical across thread counts. Each epoch remains
+// a per-auction application of the paper's mechanism over the residual
+// left by expired *and* active leases, so the monotonicity/exactness
+// guarantees are untouched (§5's repeated-auction view, now with the
+// good genuinely recurring). The config-diff sim oracle holds it
+// byte-identical to the naive sim/reference_engine.hpp.
 //
 // Each epoch is deterministic: Bounded-UFP with the capacity guard is
 // deterministic for any OpenMP thread count (detail/sp_cache.hpp), the
@@ -47,7 +50,6 @@
 
 #include "tufp/engine/metrics.hpp"
 #include "tufp/engine/request_stream.hpp"
-#include "tufp/engine/snapshot.hpp"
 #include "tufp/graph/residual_csr.hpp"
 #include "tufp/mechanism/critical_payment.hpp"
 #include "tufp/temporal/lease_ledger.hpp"
@@ -73,7 +75,7 @@ struct EpochEngineConfig {
   // (nothing is shed when there is no time pressure).
   std::size_t queue_capacity = 1 << 16;
 
-  // Residual floor below which an edge leaves the snapshot. Must be >= 1
+  // Residual floor below which an edge is inactive. Must be >= 1
   // (the maximum normalized demand) so every epoch keeps B >= 1; the
   // constructor rejects smaller values.
   double min_usable_capacity = 1.0;
@@ -95,28 +97,11 @@ struct EpochEngineConfig {
     return cfg;
   }();
 
-  // Temporal leases (DESIGN.md §10). On: every admission is recorded in
-  // the lease ledger, finite-duration admissions return their capacity at
-  // expiry, and expiries drain at each epoch boundary. Off: the ledger is
-  // never built and requests' durations are ignored — the pre-temporal
-  // code path, kept as the baseline the temporal-infinite differential
-  // oracle diffs against.
-  bool track_leases = true;
+  // Temporal leases (DESIGN.md §10): finite-duration admissions return
+  // their capacity at expiry, drained at each epoch boundary.
   // Timer-wheel tick (virtual seconds). Performance knob only; expiry
   // comparisons stay exact at any tick.
   double lease_tick_seconds = 0.05;
-
-  // Persistent residual graph (DESIGN.md §12). On (the default) the
-  // engine keeps ONE struct-of-arrays residual store for the life of the
-  // world and clears each epoch against it through the ResidualView hot
-  // path: open_epoch() rescans the activity mask in place, the solver
-  // reads base edge ids directly (no snapshot compile, no edge-id
-  // translation), and a cross-epoch UfpWorkspace carries the sp_cache's
-  // engine pool, shard plan and stamp-validated shortest-path trees
-  // between epochs. Off: the legacy GraphSnapshot-per-epoch path, kept
-  // as the differential baseline — the residual-differential sim oracle
-  // proves both modes byte-identical.
-  bool persistent_residual = true;
 
   // Keep per-request AdmissionRecords in each report (tests, small runs).
   bool record_allocations = false;
@@ -164,14 +149,14 @@ struct AdmissionReport {
   double admitted_value = 0.0;
   double revenue = 0.0;
   double dual_upper_bound = 0.0;  // Claim 3.6 bound for the epoch instance
-  int active_edges = 0;           // snapshot size
+  int active_edges = 0;           // edges at or above the floor
   int saturated_edges = 0;
   double min_residual = 0.0;      // epoch bound B (over active edges)
   int solver_iterations = 0;
   std::int64_t sp_computations = 0;
   std::int64_t sp_tree_runs = 0;  // Dijkstra tree searches (source shards)
   // Lease churn at this epoch boundary (deterministic): expiries drained
-  // before the snapshot was compiled, the active lease count and the
+  // before the epoch's residual view opened, the active lease count and the
   // occupancy (leased capacity / total base capacity) after the clear.
   int expired_leases = 0;
   std::int64_t active_leases = 0;
@@ -186,11 +171,17 @@ struct AdmissionReport {
   std::vector<AdmissionRecord> allocations;  // when record_allocations
 };
 
+// The epoch's admission filter: a positive finite value, a normalized
+// demand in (0, 1], distinct in-range endpoints and a positive duration
+// (kInf = permanent). Bids failing it are shed as invalid before the
+// auction instead of poisoning it.
+bool is_valid_bid(const TimedRequest& t, int num_vertices);
+
 // Lifetime aggregate returned by run().
 struct EngineSummary {
   EngineCounters counters;
   double admitted_fraction = 0.0;
-  // Final lease gauges (deterministic; zero without track_leases).
+  // Final lease gauges (deterministic).
   std::int64_t active_leases = 0;
   double occupancy = 0.0;
   double wall_seconds = 0.0;          // NOT deterministic
@@ -218,12 +209,8 @@ class EpochEngine {
   AdmissionReport run_epoch(const std::vector<TimedRequest>& batch,
                             double close_time);
 
-  // Current residual capacity per base EdgeId (whichever store is live:
-  // the persistent graph or the legacy vector).
-  std::span<const double> residual() const {
-    return rgraph_ ? rgraph_->residual()
-                   : std::span<const double>(residual_);
-  }
+  // Current residual capacity per base EdgeId.
+  std::span<const double> residual() const { return rgraph_->residual(); }
   const Graph& base_graph() const { return *base_; }
   const EngineMetrics& metrics() const { return metrics_; }
   const EpochEngineConfig& config() const { return config_; }
@@ -234,16 +221,22 @@ class EpochEngine {
   // to the residual. Epoch boundaries call this automatically; exposed
   // for drivers that advance the clock past the last arrival (the
   // `--horizon` flag, the temporal-no-leak oracle). Returns the number of
-  // leases reclaimed; always 0 without track_leases.
+  // leases reclaimed.
   int reclaim_expired(double now);
 
-  // The lease ledger, or nullptr without track_leases.
+  // The lease ledger; never null.
   const temporal::LeaseLedger* lease_ledger() const { return ledger_.get(); }
+  // The persistent residual store and the cross-epoch solver workspace
+  // (tests, telemetry).
+  const ResidualGraph& residual_graph() const { return *rgraph_; }
+  const UfpWorkspace& workspace() const { return *workspace_; }
 
-  // The persistent residual store / cross-epoch solver workspace, or
-  // nullptr when persistent_residual is off (tests, telemetry).
-  const ResidualGraph* residual_graph() const { return rgraph_.get(); }
-  const UfpWorkspace* workspace() const { return workspace_.get(); }
+  // Base-BFS trees memoized for rejection classification: at most
+  // kBaseBfsMemoCap, dropped wholesale above it (trees depend only on the
+  // topology, so a rebuilt tree is the evicted one). 64 keeps every
+  // bench source pool (at most 32 hubs) resident.
+  static constexpr std::size_t kBaseBfsMemoCap = 64;
+  std::size_t base_bfs_trees_cached() const { return base_bfs_trees_.size(); }
 
   // Stream-level ingestion counters for external drivers (tufp_serve)
   // that batch their own queue instead of going through run(): requests
@@ -278,10 +271,8 @@ class EpochEngine {
  private:
   AdmissionReport clear_epoch(const std::vector<TimedRequest>& batch,
                               double close_time);
-  // `instance` is the epoch instance in snapshot mode, nullptr in
-  // persistent mode (kCritical compiles one lazily — see the .cpp).
   void apply_payments(std::span<const Request> requests,
-                      const UfpInstance* instance, const BoundedUfpResult& run,
+                      const BoundedUfpResult& run,
                       const BoundedUfpConfig& solver_cfg,
                       std::vector<double>* payments);
   void refresh_lease_gauges();
@@ -307,7 +298,6 @@ class EpochEngine {
 
   std::shared_ptr<const Graph> base_;
   EpochEngineConfig config_;
-  std::vector<double> residual_;  // legacy-mode store; unused when rgraph_
   // Reclaim batch scratch: the epoch's drained lease edges, concatenated
   // for the warm-tree revalidation pass (allocation-free steady state).
   std::vector<EdgeId> reclaimed_scratch_;
@@ -318,8 +308,9 @@ class EpochEngine {
   EngineMetrics metrics_;
   obs::DecisionTrace* trace_ = nullptr;
   // Memoized base-topology BFS parent trees, one per distinct rejected
-  // source. The base graph is immutable, so trees never invalidate; only
-  // the bottleneck scan reads live residual state.
+  // source, at most kBaseBfsMemoCap of them. The base graph is immutable,
+  // so trees never invalidate; only the bottleneck scan reads live
+  // residual state.
   std::map<VertexId, BaseBfsTree> base_bfs_trees_;
   std::vector<EdgeId> route_scratch_;  // probe path reconstruction
   // Epoch id decision records are attributed to while clear_epoch is on

@@ -22,10 +22,11 @@
 // Solvers access the store through the narrow ResidualView interface:
 // read residuals/stamps/blocked, commit admissions atomically; no copies,
 // no edge-id translation (base ids are solver ids). Byte-identity with
-// the legacy snapshot path holds because the compiled snapshot's arc
-// lists are subsequences of the base arc lists in the same order, so the
-// canonical lexicographic tie-breaks (graph/dijkstra.hpp) coincide — the
-// `residual-differential` sim oracle enforces this byte-for-byte.
+// the snapshot-per-epoch reference engine (sim/reference_engine.hpp)
+// holds because the compiled snapshot's arc lists are subsequences of the
+// base arc lists in the same order, so the canonical lexicographic
+// tie-breaks (graph/dijkstra.hpp) coincide — the `config-diff` sim oracle
+// enforces this byte-for-byte.
 //
 // On top sits SourceTreeCache, the cross-epoch half of sp_cache: settled
 // shortest-path trees keyed by source vertex survive epoch boundaries and

@@ -35,7 +35,7 @@ struct LabSolveConfig {
   std::uint64_t rounding_seed = 0xd1ce;
   // Shortest-path queue for the primal-dual members (bounded, bkv, and
   // the sweep's certifying run). Kernel choice never changes results —
-  // the thread/kernel-diff oracles pin that — only the wall clock.
+  // the config-diff oracle pins that — only the wall clock.
   SpKernel sp_kernel = SpKernel::kAuto;
   // Gates for the enumeration-backed members.
   int exact_max_requests = 14;

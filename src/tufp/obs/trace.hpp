@@ -11,7 +11,7 @@
 //     rendered through util/json.hpp and are byte-identical across SP
 //     kernels and thread counts: the classification runs in the decider's
 //     serial exit path over deterministic solver state, never inside the
-//     parallel region (the trace-differential sim oracle enforces this).
+//     parallel region (the config-diff sim oracle enforces this).
 //
 //   * Spans (wall) — nested `TUFP_SPAN("phase")` scopes over the epoch
 //     phases (reclaim/validate/snapshot/solve/payments/commit),

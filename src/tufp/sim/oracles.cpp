@@ -8,9 +8,9 @@
 
 #include "tufp/engine/epoch_engine.hpp"
 #include "tufp/mechanism/allocation_rule.hpp"
-#include "tufp/obs/telemetry.hpp"
 #include "tufp/obs/trace.hpp"
 #include "tufp/mechanism/critical_payment.hpp"
+#include "tufp/sim/reference_engine.hpp"
 #include "tufp/ufp/dual_certificate.hpp"
 #include "tufp/util/assert.hpp"
 #include "tufp/util/math.hpp"
@@ -28,12 +28,6 @@ std::string fmt(double v) {
 
 void add(std::vector<Violation>* out, const char* oracle, std::string detail) {
   out->push_back({oracle, std::move(detail)});
-}
-
-// ---------------------------------------------------------------- solver
-
-BoundedUfpResult solve(const SimWorld& world, const BoundedUfpConfig& cfg) {
-  return bounded_ufp(world.instance, cfg);
 }
 
 bool same_paths(const Path* a, const Path* b) {
@@ -61,148 +55,26 @@ std::string selection_diff(const UfpSolution& a, const UfpSolution& b) {
   return {};
 }
 
-// ----------------------------------------------------------- engine runs
-
-struct EpochDigest {
-  int epoch = 0;
-  int batch_size = 0;
-  int admitted = 0;
-  double revenue = 0.0;
-  double admitted_value = 0.0;
-  // Solver effort counters: the persistent-vs-snapshot differential pins
-  // these too (the cross-epoch warm path must not change what the
-  // reports print — golden counter parity, sp_cache.hpp).
-  int solver_iterations = 0;
-  std::int64_t sp_computations = 0;
-  std::int64_t sp_tree_runs = 0;
-  // (global request id, bid, payment, path_edges) per winner, epoch order.
-  std::vector<AdmissionRecord> allocations;
-};
-
-struct EngineRun {
-  std::vector<EpochDigest> epochs;
-  std::vector<double> residual;          // final
-  std::vector<Violation> residual_violations;  // bounds breached mid-run
-};
-
-// Replays the world's request list through the epoch engine in max_batch
-// chunks. AdmissionRecord::sequence carries the global request index so
-// digests are comparable across runs and against offline solves.
-// `temporal_path` selects the lease-ledger code path with every duration
-// left infinite — the same workload through the temporal machinery, which
-// the temporal-infinite oracle diffs byte-for-byte against the default
-// lease-free path. `persistent` selects the ResidualGraph hot path
-// (the engine default); the residual-differential oracle runs both and
-// diffs them, every other oracle exercises the default.
-EngineRun run_world_engine(const SimWorld& world, PaymentPolicy payments,
-                           int num_threads, bool temporal_path = false,
-                           bool persistent = true) {
-  EpochEngineConfig config;
-  config.max_batch = world.max_batch;
-  config.payments = payments;
-  config.record_allocations = true;
-  config.persistent_residual = persistent;
-  // The pre-temporal oracle suite replays every world under hold-forever
-  // semantics: leases off keeps this the frozen legacy baseline.
-  config.track_leases = temporal_path;
-  config.solver = world.solver;
-  config.solver.capacity_guard = true;  // engine precondition
-  config.solver.num_threads = num_threads;
-  EpochEngine engine(world.instance.shared_graph(), config);
-
-  EngineRun run;
-  const auto& requests = world.instance.requests();
-  std::vector<TimedRequest> batch;
-  const Graph& base = *world.instance.shared_graph();
-  for (std::size_t i = 0; i < requests.size(); ++i) {
-    TimedRequest t;
-    t.arrival_time = i < world.arrivals.size() ? world.arrivals[i] : 0.0;
-    t.sequence = static_cast<std::int64_t>(i);
-    t.request = requests[i];
-    batch.push_back(t);
-    if (static_cast<int>(batch.size()) < world.max_batch &&
-        i + 1 < requests.size()) {
-      continue;
-    }
-    const AdmissionReport report = engine.run_epoch(batch);
-    run.epochs.push_back({report.epoch, report.batch_size, report.admitted,
-                          report.revenue, report.admitted_value,
-                          report.solver_iterations, report.sp_computations,
-                          report.sp_tree_runs, report.allocations});
-    const auto residual = engine.residual();
-    for (EdgeId e = 0; e < base.num_edges(); ++e) {
-      const double res = residual[static_cast<std::size_t>(e)];
-      if (res < -1e-9 || res > base.capacity(e) + 1e-9) {
-        add(&run.residual_violations, "residual-feasible",
-            "epoch " + std::to_string(report.epoch) + " edge " +
-                std::to_string(e) + " residual " + fmt(res) +
-                " outside [0, " + fmt(base.capacity(e)) + "]");
-      }
-    }
-    batch.clear();
+std::vector<double> leased_view(const temporal::LeaseLedger& ledger) {
+  std::vector<double> out(static_cast<std::size_t>(ledger.num_edges()));
+  for (EdgeId e = 0; e < ledger.num_edges(); ++e) {
+    out[static_cast<std::size_t>(e)] = ledger.leased_demand(e);
   }
-  run.residual.assign(engine.residual().begin(), engine.residual().end());
-  return run;
+  return out;
 }
 
-// ------------------------------------------------------- temporal replay
-
-// One epoch of the temporal replay: the engine's report plus the per-edge
-// ledger view right after the boundary cleared.
-struct TemporalEpoch {
-  AdmissionReport report;
-  std::vector<double> residual;
-  std::vector<double> leased;  // ledger's active leased demand per edge
-};
-
-struct TemporalRun {
-  std::vector<TemporalEpoch> epochs;
-  double last_close = 0.0;
-  // State after the post-run horizon drain: the clock advanced past every
-  // finite expiry and everything reclaimable reclaimed.
-  int reclaimed_at_horizon = 0;
-  std::vector<double> final_residual;
-  std::vector<double> final_leased;
-  std::vector<int> final_active_on_edge;
-  std::int64_t final_active = 0;
-  // Warm-tree reclaim revalidation counters (persistent path only; the
-  // snapshot engine has no tree cache and reports zeros). Deterministic
-  // per world: the residual-differential oracle pins them equal across
-  // kernels and thread counts.
-  std::int64_t trees_kept_on_reclaim = 0;
-  std::int64_t trees_dropped_on_reclaim = 0;
-};
-
-// Replays the world through the lease-tracking engine with its sampled
-// durations, recording the ledger view each epoch, then drains to a
-// horizon beyond the last possible expiry (admissions happen at epoch
-// close <= last_close, so last_close + max finite duration bounds every
-// expiry).
-TemporalRun run_world_engine_temporal(const SimWorld& world, int num_threads,
-                                      bool persistent = true) {
-  EpochEngineConfig config;
-  config.max_batch = world.max_batch;
-  config.payments = PaymentPolicy::kNone;
-  config.record_allocations = true;
-  config.track_leases = true;
-  config.persistent_residual = persistent;
-  config.solver = world.solver;
-  config.solver.capacity_guard = true;
-  config.solver.num_threads = num_threads;
-  EpochEngine engine(world.instance.shared_graph(), config);
-  const temporal::LeaseLedger& ledger = *engine.lease_ledger();
-  const Graph& base = world.instance.graph();
-  const auto edges = static_cast<std::size_t>(base.num_edges());
-
-  TemporalRun run;
-  double max_finite_duration = 0.0;
+template <class Engine>
+void replay_into(const SimWorld& world, bool churn, Engine& engine,
+                 RunDigest* digest) {
   const auto& requests = world.instance.requests();
   std::vector<TimedRequest> batch;
+  double last_close = 0.0;
+  double max_finite_duration = 0.0;
   for (std::size_t i = 0; i < requests.size(); ++i) {
     TimedRequest t;
     t.arrival_time = i < world.arrivals.size() ? world.arrivals[i] : 0.0;
     t.sequence = static_cast<std::int64_t>(i);
-    t.duration = i < world.durations.size() ? world.durations[i] : kInf;
+    if (churn && i < world.durations.size()) t.duration = world.durations[i];
     if (t.duration < kInf) {
       max_finite_duration = std::max(max_finite_duration, t.duration);
     }
@@ -212,131 +84,215 @@ TemporalRun run_world_engine_temporal(const SimWorld& world, int num_threads,
         i + 1 < requests.size()) {
       continue;
     }
-    TemporalEpoch epoch;
+    EpochDigest epoch;
     epoch.report = engine.run_epoch(batch);
-    run.last_close = std::max(run.last_close, epoch.report.close_time);
-    epoch.residual.assign(engine.residual().begin(),
-                          engine.residual().end());
-    epoch.leased.resize(edges);
-    for (EdgeId e = 0; e < base.num_edges(); ++e) {
-      epoch.leased[static_cast<std::size_t>(e)] = ledger.leased_demand(e);
-    }
-    run.epochs.push_back(std::move(epoch));
+    epoch.report.solve_seconds = 0.0;
+    epoch.report.reclaim_seconds = 0.0;
+    last_close = std::max(last_close, epoch.report.close_time);
+    epoch.residual.assign(engine.residual().begin(), engine.residual().end());
+    epoch.leased = leased_view(*engine.lease_ledger());
+    digest->epochs.push_back(std::move(epoch));
     batch.clear();
   }
-
-  const double horizon = run.last_close + max_finite_duration + 1.0;
-  run.reclaimed_at_horizon = engine.reclaim_expired(horizon);
-  run.final_residual.assign(engine.residual().begin(),
-                            engine.residual().end());
-  run.final_leased.resize(edges);
-  run.final_active_on_edge.resize(edges);
-  for (EdgeId e = 0; e < base.num_edges(); ++e) {
-    run.final_leased[static_cast<std::size_t>(e)] = ledger.leased_demand(e);
-    run.final_active_on_edge[static_cast<std::size_t>(e)] =
-        ledger.active_on_edge(e);
+  // Admissions happen at epoch close <= last_close, so last_close + the
+  // longest finite duration bounds every expiry.
+  digest->reclaimed_at_horizon =
+      engine.reclaim_expired(last_close + max_finite_duration + 1.0);
+  const temporal::LeaseLedger& ledger = *engine.lease_ledger();
+  digest->final_residual.assign(engine.residual().begin(),
+                                engine.residual().end());
+  digest->final_leased = leased_view(ledger);
+  for (EdgeId e = 0; e < ledger.num_edges(); ++e) {
+    digest->final_active_on_edge.push_back(ledger.active_on_edge(e));
   }
-  run.final_active = ledger.active_count();
-  run.trees_kept_on_reclaim =
+  digest->final_active = ledger.active_count();
+}
+
+// ------------------------------------------------------------ digest diff
+
+std::string show(double v) { return fmt(v); }
+std::string show(std::int64_t v) { return std::to_string(v); }
+std::string show(int v) { return std::to_string(v); }
+std::string show(const std::string& v) { return v; }
+std::string show(const Path& p) {
+  std::string out = "[";
+  for (const EdgeId e : p) {
+    if (out.size() > 1) out += ',';
+    out += std::to_string(e);
+  }
+  return out + "]";
+}
+
+// Accumulates the first differing field; later comparisons are no-ops.
+class FirstDiff {
+ public:
+  template <class T>
+  void field(const std::string& name, const T& want, const T& got) {
+    if (found() || want == got) return;
+    diff_ = name + ": " + show(want) + " vs " + show(got);
+  }
+  template <class T>
+  void seq(const std::string& name, const std::vector<T>& want,
+           const std::vector<T>& got) {
+    if (found() || want == got) return;
+    if (want.size() != got.size()) {
+      diff_ = name + " length: " + std::to_string(want.size()) + " vs " +
+              std::to_string(got.size());
+      return;
+    }
+    std::size_t k = 0;
+    while (want[k] == got[k]) ++k;
+    field(name + "[" + std::to_string(k) + "]", want[k], got[k]);
+  }
+  bool found() const { return !diff_.empty(); }
+  std::string take() { return std::move(diff_); }
+
+ private:
+  std::string diff_;
+};
+
+}  // namespace
+
+RunDigest replay_world(const SimWorld& world, bool churn,
+                       EpochEngine& engine) {
+  RunDigest digest;
+  replay_into(world, churn, engine, &digest);
+  digest.trees_kept_on_reclaim =
       engine.metrics().counters().trees_kept_on_reclaim;
-  run.trees_dropped_on_reclaim =
+  digest.trees_dropped_on_reclaim =
       engine.metrics().counters().trees_dropped_on_reclaim;
-  return run;
+  return digest;
 }
 
-std::string engine_run_diff(const EngineRun& a, const EngineRun& b) {
-  if (a.epochs.size() != b.epochs.size()) {
-    return "epoch-count mismatch " + std::to_string(a.epochs.size()) + " vs " +
-           std::to_string(b.epochs.size());
+RunDigest replay_world(const SimWorld& world, const ReplayOptions& options) {
+  EpochEngineConfig config;
+  config.max_batch = world.max_batch;
+  config.payments = options.payments;
+  config.record_allocations = true;
+  config.solver = world.solver;
+  config.solver.capacity_guard = true;  // engine precondition
+  config.solver.num_threads = options.threads;
+  if (options.kernel) config.solver.sp_kernel = *options.kernel;
+
+  RunDigest digest;
+  const auto& graph = world.instance.shared_graph();
+  if (options.reference) {
+    ReferenceEngine engine(graph, config);
+    replay_into(world, options.churn, engine, &digest);
+    digest.production = false;
+  } else {
+    // An unbounded ring keeps every rendered line: exactly the bytes a det
+    // sink would see.
+    obs::DecisionTrace trace(nullptr, {SIZE_MAX});
+    EpochEngine engine(graph, config);
+    if (options.decisions) engine.set_decision_trace(&trace);
+    digest = replay_world(world, options.churn, engine);
+    digest.decisions = trace.ring_snapshot();
   }
-  for (std::size_t i = 0; i < a.epochs.size(); ++i) {
-    const EpochDigest& x = a.epochs[i];
-    const EpochDigest& y = b.epochs[i];
-    if (x.batch_size != y.batch_size || x.admitted != y.admitted ||
-        x.revenue != y.revenue || x.admitted_value != y.admitted_value ||
-        x.allocations.size() != y.allocations.size()) {
-      return "epoch " + std::to_string(x.epoch) + " digest mismatch";
-    }
-    if (x.solver_iterations != y.solver_iterations ||
-        x.sp_computations != y.sp_computations ||
-        x.sp_tree_runs != y.sp_tree_runs) {
-      return "epoch " + std::to_string(x.epoch) + " solver counter mismatch";
-    }
-    for (std::size_t j = 0; j < x.allocations.size(); ++j) {
-      if (x.allocations[j].sequence != y.allocations[j].sequence ||
-          x.allocations[j].payment != y.allocations[j].payment) {
-        return "epoch " + std::to_string(x.epoch) + " winner " +
-               std::to_string(j) + " mismatch";
-      }
-    }
-  }
-  if (a.residual != b.residual) return "final residual mismatch";
-  return {};
+  const char* kernel = "world";
+  if (options.kernel == SpKernel::kHeap) kernel = "heap";
+  if (options.kernel == SpKernel::kBucket) kernel = "bucket";
+  digest.leg = std::string(options.reference ? "reference " : "production ") +
+               kernel + " t" + std::to_string(options.threads) +
+               (options.churn ? " churn" : " plain");
+  return digest;
 }
 
-// Byte-exact diff of two temporal replays: per-epoch reports, residual
-// and ledger views, and the drained-horizon final state. The operator==
-// here are deliberate — the persistent and snapshot paths promise
-// bitwise-identical histories, not merely close ones.
-std::string temporal_run_diff(const TemporalRun& a, const TemporalRun& b) {
-  if (a.epochs.size() != b.epochs.size()) {
-    return "epoch-count mismatch " + std::to_string(a.epochs.size()) +
-           " vs " + std::to_string(b.epochs.size());
+std::string digest_diff(const RunDigest& want, const RunDigest& got) {
+  FirstDiff d;
+  d.seq("one_shot", want.one_shot, got.one_shot);
+  d.field("one_shot.iterations", want.one_shot_iterations,
+          got.one_shot_iterations);
+  d.field("one_shot.final_dual_sum", want.one_shot_final_dual_sum,
+          got.one_shot_final_dual_sum);
+  d.field("one_shot.dual_upper_bound", want.one_shot_dual_upper_bound,
+          got.one_shot_dual_upper_bound);
+  d.field("epochs", static_cast<std::int64_t>(want.epochs.size()),
+          static_cast<std::int64_t>(got.epochs.size()));
+  const bool outcomes = want.production && got.production;
+  for (std::size_t i = 0; i < want.epochs.size() && !d.found(); ++i) {
+    const AdmissionReport& x = want.epochs[i].report;
+    const AdmissionReport& y = got.epochs[i].report;
+    const std::string at = "epoch " + std::to_string(x.epoch) + " ";
+#define TUFP_DIGEST_FIELD(f) d.field(at + #f, x.f, y.f)
+    TUFP_DIGEST_FIELD(epoch);
+    TUFP_DIGEST_FIELD(batch_size);
+    TUFP_DIGEST_FIELD(admitted);
+    TUFP_DIGEST_FIELD(invalid_rejected);
+    if (outcomes) {
+      TUFP_DIGEST_FIELD(no_path);
+      TUFP_DIGEST_FIELD(capacity_blocked);
+      TUFP_DIGEST_FIELD(lost_auction);
+      TUFP_DIGEST_FIELD(shard_conflict);
+    }
+    TUFP_DIGEST_FIELD(close_time);
+    TUFP_DIGEST_FIELD(offered_value);
+    TUFP_DIGEST_FIELD(admitted_value);
+    TUFP_DIGEST_FIELD(revenue);
+    TUFP_DIGEST_FIELD(dual_upper_bound);
+    TUFP_DIGEST_FIELD(active_edges);
+    TUFP_DIGEST_FIELD(saturated_edges);
+    TUFP_DIGEST_FIELD(min_residual);
+    TUFP_DIGEST_FIELD(solver_iterations);
+    TUFP_DIGEST_FIELD(sp_computations);
+    TUFP_DIGEST_FIELD(sp_tree_runs);
+    TUFP_DIGEST_FIELD(expired_leases);
+    TUFP_DIGEST_FIELD(active_leases);
+    TUFP_DIGEST_FIELD(occupancy);
+    TUFP_DIGEST_FIELD(queue_depth);
+    TUFP_DIGEST_FIELD(max_admission_delay);
+#undef TUFP_DIGEST_FIELD
+    d.field(at + "allocations length",
+            static_cast<std::int64_t>(x.allocations.size()),
+            static_cast<std::int64_t>(y.allocations.size()));
+    for (std::size_t j = 0; j < x.allocations.size() && !d.found(); ++j) {
+      const AdmissionRecord& a = x.allocations[j];
+      const AdmissionRecord& b = y.allocations[j];
+      const std::string w = at + "allocations[" + std::to_string(j) + "].";
+      d.field(w + "sequence", a.sequence, b.sequence);
+      d.field(w + "request", a.request, b.request);
+      d.field(w + "bid", a.bid, b.bid);
+      d.field(w + "payment", a.payment, b.payment);
+      d.field(w + "path_edges", a.path_edges, b.path_edges);
+    }
+    d.seq(at + "residual", want.epochs[i].residual, got.epochs[i].residual);
+    d.seq(at + "leased", want.epochs[i].leased, got.epochs[i].leased);
   }
-  for (std::size_t i = 0; i < a.epochs.size(); ++i) {
-    const AdmissionReport& x = a.epochs[i].report;
-    const AdmissionReport& y = b.epochs[i].report;
-    if (x.batch_size != y.batch_size || x.admitted != y.admitted ||
-        x.admitted_value != y.admitted_value || x.revenue != y.revenue ||
-        x.close_time != y.close_time ||
-        x.expired_leases != y.expired_leases ||
-        x.active_leases != y.active_leases || x.occupancy != y.occupancy) {
-      return "epoch " + std::to_string(x.epoch) + " report mismatch";
-    }
-    if (x.solver_iterations != y.solver_iterations ||
-        x.sp_computations != y.sp_computations ||
-        x.sp_tree_runs != y.sp_tree_runs) {
-      return "epoch " + std::to_string(x.epoch) + " solver counter mismatch";
-    }
-    if (x.allocations.size() != y.allocations.size()) {
-      return "epoch " + std::to_string(x.epoch) + " winner-count mismatch";
-    }
-    for (std::size_t j = 0; j < x.allocations.size(); ++j) {
-      if (x.allocations[j].sequence != y.allocations[j].sequence ||
-          x.allocations[j].payment != y.allocations[j].payment ||
-          x.allocations[j].path_edges != y.allocations[j].path_edges) {
-        return "epoch " + std::to_string(x.epoch) + " winner " +
-               std::to_string(j) + " mismatch";
-      }
-    }
-    if (a.epochs[i].residual != b.epochs[i].residual) {
-      return "epoch " + std::to_string(x.epoch) + " residual mismatch";
-    }
-    if (a.epochs[i].leased != b.epochs[i].leased) {
-      return "epoch " + std::to_string(x.epoch) + " leased-demand mismatch";
-    }
+  d.field("horizon reclaimed", want.reclaimed_at_horizon,
+          got.reclaimed_at_horizon);
+  d.seq("final residual", want.final_residual, got.final_residual);
+  d.seq("final leased", want.final_leased, got.final_leased);
+  d.seq("final active_on_edge", want.final_active_on_edge,
+        got.final_active_on_edge);
+  d.field("final active", want.final_active, got.final_active);
+  if (outcomes) {
+    d.seq("decisions", want.decisions, got.decisions);
+    d.field("trees_kept_on_reclaim", want.trees_kept_on_reclaim,
+            got.trees_kept_on_reclaim);
+    d.field("trees_dropped_on_reclaim", want.trees_dropped_on_reclaim,
+            got.trees_dropped_on_reclaim);
   }
-  if (a.reclaimed_at_horizon != b.reclaimed_at_horizon) {
-    return "horizon reclaim-count mismatch";
-  }
-  if (a.final_residual != b.final_residual) {
-    return "final residual mismatch";
-  }
-  if (a.final_leased != b.final_leased) return "final leased mismatch";
-  if (a.final_active_on_edge != b.final_active_on_edge) {
-    return "final per-edge lease-count mismatch";
-  }
-  if (a.final_active != b.final_active) return "final active-count mismatch";
-  return {};
+  return d.take();
+}
+
+namespace {
+
+// One production-engine replay at the world's own solver settings.
+RunDigest replay_priced(const SimWorld& world, PaymentPolicy payments,
+                        bool churn = false) {
+  ReplayOptions options;
+  options.payments = payments;
+  options.churn = churn;
+  return replay_world(world, options);
 }
 
 }  // namespace
 
-// Lazy shared computations. Several oracles diff against the unperturbed
-// base solve or the same engine replay; memoizing them here means a full
-// sweep pays for each at most once, and a restricted suite (the shrinker
-// probes a single oracle hundreds of times) pays only for what that
-// oracle reads.
+// Lazy shared computations. Several oracles read the unperturbed base
+// solve or the same engine replay; memoizing them here means a full sweep
+// pays for each at most once, and a restricted suite (the shrinker probes
+// a single oracle hundreds of times) pays only for what that oracle
+// reads.
 struct OracleContext {
   const SimWorld& world;
   const OracleOptions& options;
@@ -348,26 +304,28 @@ struct OracleContext {
     if (!base_) base_.emplace(bounded_ufp(world.instance, world.solver));
     return *base_;
   }
-  const EngineRun& engine_none() {
-    if (!none_) none_.emplace(run_world_engine(world, PaymentPolicy::kNone, 1));
-    return *none_;
+  // Plain replays (every lease permanent) under kNone / kDualPrice, and
+  // the kNone churn replay.
+  const RunDigest& engine_none() {
+    return memo(none_, PaymentPolicy::kNone, false);
   }
-  const EngineRun& engine_dual() {
-    if (!dual_) {
-      dual_.emplace(run_world_engine(world, PaymentPolicy::kDualPrice, 1));
-    }
-    return *dual_;
+  const RunDigest& engine_dual() {
+    return memo(dual_, PaymentPolicy::kDualPrice, false);
   }
-  const TemporalRun& temporal() {
-    if (!temporal_) temporal_.emplace(run_world_engine_temporal(world, 1));
-    return *temporal_;
+  const RunDigest& temporal() {
+    return memo(temporal_, PaymentPolicy::kNone, true);
   }
 
  private:
+  const RunDigest& memo(std::optional<RunDigest>& slot, PaymentPolicy payments,
+                        bool churn) {
+    if (!slot) slot.emplace(replay_priced(world, payments, churn));
+    return *slot;
+  }
   std::optional<BoundedUfpResult> base_;
-  std::optional<EngineRun> none_;
-  std::optional<EngineRun> dual_;
-  std::optional<TemporalRun> temporal_;
+  std::optional<RunDigest> none_;
+  std::optional<RunDigest> dual_;
+  std::optional<RunDigest> temporal_;
 };
 
 namespace {
@@ -389,48 +347,6 @@ std::vector<Violation> oracle_dual_bound(OracleContext& ctx) {
     add(&out, "dual-bound",
         "admitted value " + fmt(value) + " exceeds dual upper bound " +
             fmt(ctx.base().dual_upper_bound));
-  }
-  return out;
-}
-
-std::vector<Violation> oracle_kernel_diff(OracleContext& ctx) {
-  const SimWorld& world = ctx.world;
-  std::vector<Violation> out;
-  BoundedUfpConfig heap = world.solver;
-  heap.sp_kernel = SpKernel::kHeap;
-  BoundedUfpConfig bucket = world.solver;
-  bucket.sp_kernel = SpKernel::kBucket;
-  const BoundedUfpResult a = solve(world, heap);
-  const BoundedUfpResult b = solve(world, bucket);
-  const std::string diff = selection_diff(a.solution, b.solution);
-  if (!diff.empty()) {
-    add(&out, "kernel-diff", "heap vs bucket: " + diff);
-  } else if (a.final_dual_sum != b.final_dual_sum ||
-             a.iterations != b.iterations) {
-    add(&out, "kernel-diff",
-        "heap vs bucket agree on allocation but not on dual state");
-  }
-  return out;
-}
-
-std::vector<Violation> oracle_thread_diff(OracleContext& ctx) {
-  const SimWorld& world = ctx.world;
-  std::vector<Violation> out;
-  BoundedUfpConfig one = world.solver;
-  one.parallel = true;
-  one.num_threads = 1;
-  BoundedUfpConfig four = world.solver;
-  four.parallel = true;
-  four.num_threads = 4;
-  const BoundedUfpResult a = solve(world, one);
-  const BoundedUfpResult b = solve(world, four);
-  const std::string diff = selection_diff(a.solution, b.solution);
-  if (!diff.empty()) {
-    add(&out, "thread-diff", "threads 1 vs 4: " + diff);
-  } else if (a.final_dual_sum != b.final_dual_sum ||
-             a.dual_upper_bound != b.dual_upper_bound) {
-    add(&out, "thread-diff",
-        "threads 1 vs 4 agree on allocation but not on dual state");
   }
   return out;
 }
@@ -578,8 +494,7 @@ std::vector<Violation> oracle_engine_offline(OracleContext& ctx) {
   // One epoch over the fresh network == the paper's one-shot auction.
   SimWorld single = world;
   single.max_batch = std::max(1, R);
-  const EngineRun engine =
-      run_world_engine(single, PaymentPolicy::kCritical, /*num_threads=*/1);
+  const RunDigest engine = replay_priced(single, PaymentPolicy::kCritical);
 
   BoundedUfpConfig cfg = world.solver;
   cfg.capacity_guard = true;
@@ -589,7 +504,7 @@ std::vector<Violation> oracle_engine_offline(OracleContext& ctx) {
   std::vector<double> engine_payment(static_cast<std::size_t>(R), 0.0);
   std::vector<bool> engine_won(static_cast<std::size_t>(R), false);
   for (const EpochDigest& epoch : engine.epochs) {
-    for (const AdmissionRecord& a : epoch.allocations) {
+    for (const AdmissionRecord& a : epoch.report.allocations) {
       const auto i = static_cast<std::size_t>(a.sequence);
       engine_won[i] = true;
       engine_payment[i] = a.payment;
@@ -617,21 +532,24 @@ std::vector<Violation> oracle_payment_policy(OracleContext& ctx) {
   const SimWorld& world = ctx.world;
   const OracleOptions& options = ctx.options;
   std::vector<Violation> out;
-  const EngineRun& none = ctx.engine_none();
-  const EngineRun& dual = ctx.engine_dual();
+  const RunDigest& none = ctx.engine_none();
+  const RunDigest& dual = ctx.engine_dual();
 
-  const auto admitted_sequences = [](const EngineRun& run) {
+  const auto admitted_sequences = [](const RunDigest& run) {
     std::vector<std::int64_t> seq;
     for (const EpochDigest& e : run.epochs) {
-      for (const AdmissionRecord& a : e.allocations) seq.push_back(a.sequence);
+      for (const AdmissionRecord& a : e.report.allocations) {
+        seq.push_back(a.sequence);
+      }
     }
     return seq;
   };
   // IR + no-positive-transfer on the engine's *actual* charged payments
   // (the payments-ir oracle prices through the sim rule; this leg keeps
   // EpochEngine::apply_payments itself under the same invariant).
-  const auto check_engine_ir = [&](const EngineRun& run, const char* policy) {
-    for (const EpochDigest& e : run.epochs) {
+  const auto check_engine_ir = [&](const RunDigest& run, const char* policy) {
+    for (const EpochDigest& epoch : run.epochs) {
+      const AdmissionReport& e = epoch.report;
       double revenue = 0.0;
       for (const AdmissionRecord& a : e.allocations) {
         revenue += a.payment;
@@ -658,15 +576,14 @@ std::vector<Violation> oracle_payment_policy(OracleContext& ctx) {
   }
   check_engine_ir(dual, "dual-price");
   for (const EpochDigest& e : none.epochs) {
-    if (e.revenue != 0.0) {
+    if (e.report.revenue != 0.0) {
       add(&out, "payment-policy",
-          "kNone epoch " + std::to_string(e.epoch) + " charged revenue " +
-              fmt(e.revenue));
+          "kNone epoch " + std::to_string(e.report.epoch) +
+              " charged revenue " + fmt(e.report.revenue));
     }
   }
   if (world.instance.num_requests() <= options.critical_cap) {
-    const EngineRun critical =
-        run_world_engine(world, PaymentPolicy::kCritical, 1);
+    const RunDigest critical = replay_priced(world, PaymentPolicy::kCritical);
     if (admitted_sequences(critical) != base_seq) {
       add(&out, "payment-policy",
           "critical pricing changed the admitted set vs kNone");
@@ -676,31 +593,32 @@ std::vector<Violation> oracle_payment_policy(OracleContext& ctx) {
   return out;
 }
 
-std::vector<Violation> oracle_engine_thread(OracleContext& ctx) {
-  const SimWorld& world = ctx.world;
-  std::vector<Violation> out;
-  const EngineRun& one = ctx.engine_dual();
-  const EngineRun four = run_world_engine(world, PaymentPolicy::kDualPrice, 4);
-  const std::string diff = engine_run_diff(one, four);
-  if (!diff.empty()) add(&out, "engine-thread", "threads 1 vs 4: " + diff);
-  return out;
-}
-
 std::vector<Violation> oracle_residual_feasible(OracleContext& ctx) {
   const SimWorld& world = ctx.world;
-  const EngineRun& run = ctx.engine_none();
-  std::vector<Violation> out = run.residual_violations;
+  const RunDigest& run = ctx.engine_none();
+  std::vector<Violation> out;
+  const Graph& g = world.instance.graph();
+  for (const EpochDigest& epoch : run.epochs) {
+    for (EdgeId e = 0; e < g.num_edges(); ++e) {
+      const double res = epoch.residual[static_cast<std::size_t>(e)];
+      if (res < -1e-9 || res > g.capacity(e) + 1e-9) {
+        add(&out, "residual-feasible",
+            "epoch " + std::to_string(epoch.report.epoch) + " edge " +
+                std::to_string(e) + " residual " + fmt(res) +
+                " outside [0, " + fmt(g.capacity(e)) + "]");
+      }
+    }
+  }
 
   // Global conservation: total capacity consumed across the base network
   // equals the sum over winners of demand x path length.
-  const Graph& g = world.instance.graph();
   double consumed = 0.0;
   for (EdgeId e = 0; e < g.num_edges(); ++e) {
-    consumed += g.capacity(e) - run.residual[static_cast<std::size_t>(e)];
+    consumed += g.capacity(e) - run.final_residual[static_cast<std::size_t>(e)];
   }
   double expected = 0.0;
   for (const EpochDigest& epoch : run.epochs) {
-    for (const AdmissionRecord& a : epoch.allocations) {
+    for (const AdmissionRecord& a : epoch.report.allocations) {
       const Request& req =
           world.instance.request(static_cast<int>(a.sequence));
       expected += req.demand * a.path_edges;
@@ -745,34 +663,17 @@ std::vector<Violation> oracle_payments_ir(OracleContext& ctx) {
 
 // ------------------------------------------------------ temporal oracles
 
-std::vector<Violation> oracle_temporal_infinite(OracleContext& ctx) {
-  // The temporal code path with every duration infinite must be
-  // indistinguishable — byte-for-byte, residuals included — from the
-  // lease-free legacy path: the ledger is pure bookkeeping until
-  // something actually expires.
-  std::vector<Violation> out;
-  const EngineRun& legacy = ctx.engine_dual();
-  const EngineRun temporal = run_world_engine(
-      ctx.world, PaymentPolicy::kDualPrice, 1, /*temporal_path=*/true);
-  const std::string diff = engine_run_diff(legacy, temporal);
-  if (!diff.empty()) {
-    add(&out, "temporal-infinite",
-        "lease-free vs infinite-lease engine: " + diff);
-  }
-  return out;
-}
-
 std::vector<Violation> oracle_temporal_conserve(OracleContext& ctx) {
   const SimWorld& world = ctx.world;
   const Graph& g = world.instance.graph();
   std::vector<Violation> out;
-  const TemporalRun& run = ctx.temporal();
+  const RunDigest& run = ctx.temporal();
 
   // Leg 1 — ledger vs residual, per epoch, per edge: what the ledger says
   // is promised out plus what the engine says is free must reconstruct
   // the base capacity. (Tolerance, not ==: admission clamps at zero may
   // discard up to the guard slack per admission.)
-  for (const TemporalEpoch& epoch : run.epochs) {
+  for (const EpochDigest& epoch : run.epochs) {
     for (EdgeId e = 0; e < g.num_edges(); ++e) {
       const auto ei = static_cast<std::size_t>(e);
       const double residual = epoch.residual[ei];
@@ -801,7 +702,7 @@ std::vector<Violation> oracle_temporal_conserve(OracleContext& ctx) {
   };
   std::vector<BookedLease> book;
   double booked = 0.0;
-  for (const TemporalEpoch& epoch : run.epochs) {
+  for (const EpochDigest& epoch : run.epochs) {
     const double close = epoch.report.close_time;
     // Expiries drain before the auction, mirroring the engine.
     for (BookedLease& lease : book) {
@@ -838,7 +739,7 @@ std::vector<Violation> oracle_temporal_no_leak(OracleContext& ctx) {
   const SimWorld& world = ctx.world;
   const Graph& g = world.instance.graph();
   std::vector<Violation> out;
-  const TemporalRun& run = ctx.temporal();
+  const RunDigest& run = ctx.temporal();
 
   // Every finite lease has expired by the drained horizon: an edge with
   // no remaining (permanent) lease must hold its base capacity EXACTLY —
@@ -864,7 +765,7 @@ std::vector<Violation> oracle_temporal_no_leak(OracleContext& ctx) {
 
   // Only permanent admissions may survive the horizon.
   std::int64_t permanent = 0;
-  for (const TemporalEpoch& epoch : run.epochs) {
+  for (const EpochDigest& epoch : run.epochs) {
     for (const AdmissionRecord& a : epoch.report.allocations) {
       const auto seq = static_cast<std::size_t>(a.sequence);
       const double duration =
@@ -881,186 +782,75 @@ std::vector<Violation> oracle_temporal_no_leak(OracleContext& ctx) {
   return out;
 }
 
-// The tentpole differential of the persistent-residual PR: the engine
-// with the in-place ResidualGraph + cross-epoch workspace against the
-// legacy snapshot-per-epoch engine, byte-for-byte — admissions,
-// payments, residuals, ledger views, solver counters — across both
-// shortest-path kernels and OpenMP thread counts, on the plain replay
-// AND the full admit->expire->re-admit churn replay. This is the oracle
-// that licenses shipping the persistent path as the default.
-std::vector<Violation> oracle_residual_differential(OracleContext& ctx) {
+// The one differential over configurations: the production engine and
+// the naive reference engine, each under heap and bucket kernels at 1
+// and 4 threads, on the plain and the churn replay. Every leg's digest
+// must equal the production heap-t1 digest of its replay — admissions,
+// payments, residual and ledger views, solver counters, the horizon
+// drain and the one-shot solve's dual state; production legs also the
+// outcome split, the rendered decision stream and the warm-tree reclaim
+// counters. On top, the base leg's decision stream must satisfy the
+// terminal-decision contract: exactly one non-expiry record per offered
+// request.
+std::vector<Violation> oracle_config_diff(OracleContext& ctx) {
+  const SimWorld& world = ctx.world;
   std::vector<Violation> out;
-  // Warm-tree reclaim revalidation verdicts of each persistent temporal
-  // leg: the surviving tree set is a pure function of the epoch history,
-  // so (kept, dropped) must agree across kernels and thread counts.
-  std::vector<std::pair<std::int64_t, std::int64_t>> reclaim_legs;
-  std::vector<std::string> leg_names;
-  for (const SpKernel kernel : {SpKernel::kHeap, SpKernel::kBucket}) {
-    SimWorld world = ctx.world;
-    world.solver.sp_kernel = kernel;
-    const char* kname = kernel == SpKernel::kHeap ? "heap" : "bucket";
-    for (const int threads : {1, 4}) {
-      const std::string leg =
-          std::string(kname) + " t" + std::to_string(threads) + ": ";
-      const EngineRun persistent = run_world_engine(
-          world, PaymentPolicy::kDualPrice, threads,
-          /*temporal_path=*/false, /*persistent=*/true);
-      const EngineRun snapshot = run_world_engine(
-          world, PaymentPolicy::kDualPrice, threads,
-          /*temporal_path=*/false, /*persistent=*/false);
-      const std::string diff = engine_run_diff(persistent, snapshot);
-      if (!diff.empty()) {
-        add(&out, "residual-differential",
-            leg + "persistent vs snapshot engine: " + diff);
-      }
-      // Churn leg: finite durations live, expiries reclaim mid-run —
-      // the regime where the stamp/warm-tree machinery actually bites.
-      const TemporalRun tp =
-          run_world_engine_temporal(world, threads, /*persistent=*/true);
-      const TemporalRun ts =
-          run_world_engine_temporal(world, threads, /*persistent=*/false);
-      const std::string tdiff = temporal_run_diff(tp, ts);
-      if (!tdiff.empty()) {
-        add(&out, "residual-differential",
-            leg + "persistent vs snapshot temporal replay: " + tdiff);
-      }
-      reclaim_legs.emplace_back(tp.trees_kept_on_reclaim,
-                                tp.trees_dropped_on_reclaim);
-      leg_names.push_back(std::string(kname) + " t" +
-                          std::to_string(threads));
+  constexpr SpKernel kKernels[] = {SpKernel::kHeap, SpKernel::kBucket};
+  constexpr int kThreads[] = {1, 4};
+  // One-shot solve per (kernel, threads) setting, shared by its legs.
+  std::vector<BoundedUfpResult> one_shots;
+  for (const SpKernel kernel : kKernels) {
+    for (const int threads : kThreads) {
+      BoundedUfpConfig cfg = world.solver;
+      cfg.sp_kernel = kernel;
+      cfg.num_threads = threads;
+      one_shots.push_back(bounded_ufp(world.instance, cfg));
     }
   }
-  for (std::size_t i = 1; i < reclaim_legs.size(); ++i) {
-    if (reclaim_legs[i] != reclaim_legs[0]) {
-      add(&out, "residual-differential",
-          "warm-tree reclaim counters diverge across legs: " + leg_names[0] +
-              " kept/dropped " + std::to_string(reclaim_legs[0].first) + "/" +
-              std::to_string(reclaim_legs[0].second) + " vs " + leg_names[i] +
-              " " + std::to_string(reclaim_legs[i].first) + "/" +
-              std::to_string(reclaim_legs[i].second));
-    }
-  }
-  return out;
-}
-
-// --------------------------------------------------- decision trace legs
-
-// Captures the decision channel into memory: the trace-differential
-// oracle diffs raw rendered lines, so it must see exactly the bytes a
-// file sink would.
-class CapturingSink final : public obs::TelemetrySink {
- public:
-  void emit(obs::Channel channel, std::string_view line) override {
-    if (channel == obs::Channel::kDeterministic) lines.emplace_back(line);
-  }
-  std::vector<std::string> lines;
-};
-
-// Replays the world with a DecisionTrace attached and returns the
-// rendered decision lines. `temporal_path` replays with the sampled
-// durations and drains to the post-run horizon, so lease_expired records
-// are part of the diffed history too.
-std::vector<std::string> run_world_trace(const SimWorld& world,
-                                         int num_threads, bool temporal_path) {
-  EpochEngineConfig config;
-  config.max_batch = world.max_batch;
-  config.payments = PaymentPolicy::kDualPrice;
-  config.record_allocations = true;
-  config.persistent_residual = true;
-  config.track_leases = temporal_path;
-  config.solver = world.solver;
-  config.solver.capacity_guard = true;
-  config.solver.num_threads = num_threads;
-
-  CapturingSink sink;
-  obs::DecisionTrace trace(&sink);
-  EpochEngine engine(world.instance.shared_graph(), config);
-  engine.set_decision_trace(&trace);
-
-  const auto& requests = world.instance.requests();
-  std::vector<TimedRequest> batch;
-  double last_close = 0.0;
-  double max_finite_duration = 0.0;
-  for (std::size_t i = 0; i < requests.size(); ++i) {
-    TimedRequest t;
-    t.arrival_time = i < world.arrivals.size() ? world.arrivals[i] : 0.0;
-    t.sequence = static_cast<std::int64_t>(i);
-    if (temporal_path) {
-      t.duration = i < world.durations.size() ? world.durations[i] : kInf;
-      if (t.duration < kInf) {
-        max_finite_duration = std::max(max_finite_duration, t.duration);
-      }
-    }
-    t.request = requests[i];
-    batch.push_back(t);
-    if (static_cast<int>(batch.size()) < world.max_batch &&
-        i + 1 < requests.size()) {
-      continue;
-    }
-    const AdmissionReport report = engine.run_epoch(batch);
-    last_close = std::max(last_close, report.close_time);
-    batch.clear();
-  }
-  if (temporal_path) {
-    (void)engine.reclaim_expired(last_close + max_finite_duration + 1.0);
-  }
-  engine.set_decision_trace(nullptr);
-  return std::move(sink.lines);
-}
-
-// The tentpole differential of the provenance PR: the rendered decision
-// stream — every outcome, density, bottleneck edge, payment and
-// warm/fresh provenance bit, as bytes — must be identical across SP
-// kernels and thread counts, on both the plain and the churn replay. On
-// top, the stream must satisfy the terminal-decision contract: exactly
-// one non-expiry record per offered request, in ascending sequence order
-// within each epoch.
-std::vector<Violation> oracle_trace_differential(OracleContext& ctx) {
-  std::vector<Violation> out;
-  for (const bool temporal_path : {false, true}) {
-    const char* mode = temporal_path ? "churn" : "plain";
-    std::vector<std::string> reference;
-    std::string reference_leg;
-    for (const SpKernel kernel : {SpKernel::kHeap, SpKernel::kBucket}) {
-      SimWorld world = ctx.world;
-      world.solver.sp_kernel = kernel;
-      const char* kname = kernel == SpKernel::kHeap ? "heap" : "bucket";
-      for (const int threads : {1, 4}) {
-        const std::string leg = std::string(mode) + " " + kname + " t" +
-                                std::to_string(threads);
-        std::vector<std::string> lines =
-            run_world_trace(world, threads, temporal_path);
-        if (reference_leg.empty()) {
-          // One-decision-per-request audit on the reference leg only
-          // (equality transports it to every other leg).
-          std::int64_t decisions = 0;
-          for (const std::string& line : lines) {
-            if (line.find("\"outcome\":\"lease_expired\"") ==
-                std::string::npos) {
-              ++decisions;
-            }
+  for (const bool churn : {false, true}) {
+    std::optional<RunDigest> base;
+    for (const bool reference : {false, true}) {
+      std::size_t setting = 0;
+      for (const SpKernel kernel : kKernels) {
+        for (const int threads : kThreads) {
+          ReplayOptions options;
+          options.threads = threads;
+          options.kernel = kernel;
+          options.churn = churn;
+          options.reference = reference;
+          options.decisions = true;
+          RunDigest digest = replay_world(world, options);
+          const BoundedUfpResult& solve = one_shots[setting++];
+          for (int r = 0; r < world.instance.num_requests(); ++r) {
+            const Path* path = solve.solution.path_of(r);
+            digest.one_shot.push_back(path != nullptr ? *path : Path{});
           }
-          const auto offered =
-              static_cast<std::int64_t>(world.instance.requests().size());
-          if (decisions != offered) {
-            add(&out, "trace-differential",
-                leg + ": " + std::to_string(decisions) +
+          digest.one_shot_iterations = solve.iterations;
+          digest.one_shot_final_dual_sum = solve.final_dual_sum;
+          digest.one_shot_dual_upper_bound = solve.dual_upper_bound;
+          if (base) {
+            const std::string diff = digest_diff(*base, digest);
+            if (!diff.empty()) {
+              add(&out, "config-diff",
+                  base->leg + " vs " + digest.leg + ": " + diff);
+            }
+            continue;
+          }
+          const auto decisions = std::count_if(
+              digest.decisions.begin(), digest.decisions.end(),
+              [](const std::string& line) {
+                return line.find("\"outcome\":\"lease_expired\"") ==
+                       std::string::npos;
+              });
+          const auto offered = world.instance.requests().size();
+          if (static_cast<std::size_t>(decisions) != offered) {
+            add(&out, "config-diff",
+                digest.leg + ": " + std::to_string(decisions) +
                     " terminal decisions for " + std::to_string(offered) +
                     " offered requests");
           }
-          reference = std::move(lines);
-          reference_leg = leg;
-          continue;
+          base = std::move(digest);
         }
-        if (lines == reference) continue;
-        const std::size_t n = std::min(lines.size(), reference.size());
-        std::size_t k = 0;
-        while (k < n && lines[k] == reference[k]) ++k;
-        add(&out, "trace-differential",
-            leg + " diverges from " + reference_leg + " at record " +
-                std::to_string(k) + ": " +
-                (k < reference.size() ? reference[k] : "<end>") + " vs " +
-                (k < lines.size() ? lines[k] : "<end>"));
       }
     }
   }
@@ -1071,10 +861,6 @@ constexpr OracleEntry kCatalogue[] = {
     {"feasible", "solver output exact and capacity-feasible", oracle_feasible},
     {"dual-bound", "admitted value within the Claim 3.6 dual bound",
      oracle_dual_bound},
-    {"kernel-diff", "bucket vs heap shortest-path kernels agree",
-     oracle_kernel_diff},
-    {"thread-diff", "solver identical across OpenMP thread counts",
-     oracle_thread_diff},
     {"bid-scaling", "allocation invariant under uniform bid scaling",
      oracle_bid_scaling},
     {"winner-monotone", "better declarations keep winning (Lemma 3.4)",
@@ -1087,27 +873,20 @@ constexpr OracleEntry kCatalogue[] = {
      oracle_payments_ir},
     {"residual-feasible", "engine residual bounded, load conserved",
      oracle_residual_feasible},
-    {"engine-thread", "engine history identical across thread counts",
-     oracle_engine_thread},
     {"payment-policy", "pricing policy never steers allocation",
      oracle_payment_policy},
     {"engine-offline", "single engine epoch equals the one-shot mechanism",
      oracle_engine_offline},
-    {"temporal-infinite",
-     "infinite-duration lease runs match the lease-free engine exactly",
-     oracle_temporal_infinite},
     {"temporal-conserve",
      "active lease demand + residual reconstructs capacity every epoch",
      oracle_temporal_conserve},
     {"temporal-no-leak",
      "residual returns to the empty-network baseline after expiry",
      oracle_temporal_no_leak},
-    {"residual-differential",
-     "persistent residual engine byte-identical to the snapshot engine",
-     oracle_residual_differential},
-    {"trace-differential",
-     "decision provenance stream byte-identical across kernels and threads",
-     oracle_trace_differential},
+    {"config-diff",
+     "engine digest identical across kernels, threads and the reference "
+     "engine",
+     oracle_config_diff},
 };
 
 }  // namespace

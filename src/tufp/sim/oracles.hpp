@@ -1,23 +1,22 @@
 // The oracle catalogue: machine-checkable statements every world must
 // satisfy, in three groups.
 //
-// Differential oracles re-run the same world through two implementations
-// that are promised to agree and diff the outcomes exactly:
-//   * kernel-diff    — bucket-queue vs heap shortest-path kernel
-//   * thread-diff    — solver with 1 vs 4 OpenMP threads
+// Differential oracles run the same world through implementations that
+// are promised to agree and diff the outcomes exactly:
+//   * config-diff    — one canonical RunDigest per configuration leg:
+//                      the production EpochEngine and the naive
+//                      ReferenceEngine (sim/reference_engine.hpp), each
+//                      under heap and bucket shortest-path kernels at 1
+//                      and 4 OpenMP threads, on the plain (all-infinite)
+//                      and the churn replay. Every digest must equal the
+//                      production heap-t1 digest of its replay, byte for
+//                      byte; reference legs compare only the fields the
+//                      reference defines (DESIGN.md §8, §12)
 //   * engine-offline — one engine epoch over a fresh network vs the
 //                      paper's one-shot mechanism (allocation + critical
 //                      payments)
 //   * payment-policy — allocation identical under kNone/kDualPrice/
 //                      kCritical (payments must not steer allocation)
-//   * engine-thread  — full multi-epoch engine run, 1 vs 4 threads
-//   * temporal-infinite — the temporal engine path (lease ledger on,
-//                      every duration infinite) vs the lease-free legacy
-//                      path, byte-for-byte
-//   * residual-differential — the persistent ResidualGraph engine vs the
-//                      legacy snapshot-per-epoch engine, byte-for-byte,
-//                      plain and churn replays, across both shortest-path
-//                      kernels and 1 vs 4 threads (DESIGN.md §12)
 //
 // Metamorphic oracles perturb the world in a direction with a provable
 // consequence and check the consequence:
@@ -61,10 +60,13 @@
 // the ctest acceptance check for the whole subsystem.
 #pragma once
 
+#include <cstdint>
+#include <optional>
 #include <span>
 #include <string>
 #include <vector>
 
+#include "tufp/engine/epoch_engine.hpp"
 #include "tufp/sim/world.hpp"
 
 namespace tufp::sim {
@@ -142,5 +144,73 @@ struct SimPricing {
 SimPricing sim_price(const UfpInstance& instance,
                      const BoundedUfpConfig& solver,
                      const OracleOptions& options);
+
+// ------------------------------------------------- canonical run digest
+
+// One epoch of a replay: the engine's report with its wall-clock fields
+// zeroed, and the per-edge residual and ledger view right after the clear.
+struct EpochDigest {
+  AdmissionReport report;
+  std::vector<double> residual;
+  std::vector<double> leased;  // the ledger's active leased demand per edge
+};
+
+// Everything deterministic one configuration leg produces on a world.
+// Compared exactly (operator==, no tolerance) by digest_diff().
+struct RunDigest {
+  std::string leg;  // "production heap t1 churn", ...
+  // The per-outcome rejection split, `decisions` and the warm-tree
+  // reclaim counters are defined on production-engine legs only.
+  bool production = true;
+  // The one-shot solve of the whole world under the leg's solver
+  // settings: each request's path (empty when unselected) and the dual
+  // state at exit.
+  std::vector<Path> one_shot;
+  int one_shot_iterations = 0;
+  double one_shot_final_dual_sum = 0.0;
+  double one_shot_dual_upper_bound = 0.0;
+  std::vector<EpochDigest> epochs;
+  // State after the post-run horizon drain: the clock advanced past
+  // every finite expiry and everything reclaimable reclaimed.
+  int reclaimed_at_horizon = 0;
+  std::vector<double> final_residual;
+  std::vector<double> final_leased;
+  std::vector<int> final_active_on_edge;
+  std::int64_t final_active = 0;
+  // Production only: the rendered DecisionRecord stream (obs/trace.hpp;
+  // captured when ReplayOptions::decisions is set) and the warm-tree
+  // reclaim revalidation counters.
+  std::vector<std::string> decisions;
+  std::int64_t trees_kept_on_reclaim = 0;
+  std::int64_t trees_dropped_on_reclaim = 0;
+};
+
+struct ReplayOptions {
+  PaymentPolicy payments = PaymentPolicy::kDualPrice;
+  int threads = 1;
+  std::optional<SpKernel> kernel;  // unset: the world's sampled kernel
+  // Live sampled durations (the admit -> expire -> re-admit replay);
+  // false replays every request as a permanent lease.
+  bool churn = false;
+  // sim::ReferenceEngine instead of the production EpochEngine.
+  bool reference = false;
+  // Capture the production engine's rendered decision stream.
+  bool decisions = false;
+};
+
+// The one world-replay loop every engine-reading oracle shares: the
+// world's requests in max_batch chunks through one engine (the
+// AdmissionRecord sequence is the global request index), then a drain to
+// a horizon past every finite expiry. Fills everything but the one-shot
+// section.
+RunDigest replay_world(const SimWorld& world, const ReplayOptions& options);
+// The same loop through a caller-owned production engine, from whatever
+// state it is in (no decision stream captured).
+RunDigest replay_world(const SimWorld& world, bool churn, EpochEngine& engine);
+
+// The first field in which `got` differs from `want`, as
+// "<field>: <want value> vs <got value>"; empty when they agree on every
+// field both legs define.
+std::string digest_diff(const RunDigest& want, const RunDigest& got);
 
 }  // namespace tufp::sim

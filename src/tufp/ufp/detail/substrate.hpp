@@ -10,7 +10,7 @@
 // lowerings are byte-equivalent on the active edge set — the compiled
 // snapshot's arc lists are order-preserving subsequences of the base arc
 // lists, so the canonical searches, tie-breaks and dual arithmetic agree
-// bitwise (enforced end-to-end by the residual-differential sim oracle).
+// bitwise (enforced end-to-end by the config-diff sim oracle).
 #pragma once
 
 #include <cstdint>

@@ -1,6 +1,6 @@
 // Temporal lease integration in EpochEngine (DESIGN.md §10): the
 // admit → expire → re-admit regression, exact no-leak churn at 10k
-// requests, byte-identical ∞-duration equivalence across all six sim
+// requests, the config-diff differential under churn across all six sim
 // world families, thread-count determinism under churn, and the
 // occupancy/expiry metrics.
 #include <gtest/gtest.h>
@@ -110,7 +110,6 @@ TEST(EngineLeases, NoCapacityLeakAfterHeavyTailedChurn10k) {
   ASSERT_GT(c.leases_expired, 500);     // expiries actually flowed mid-run
 
   engine.reclaim_expired(max_expiry + 1.0);
-  ASSERT_NE(engine.lease_ledger(), nullptr);
   EXPECT_EQ(engine.lease_ledger()->active_count(), 0);
   const Graph& base = *scenario.graph;
   for (EdgeId e = 0; e < base.num_edges(); ++e) {
@@ -118,26 +117,6 @@ TEST(EngineLeases, NoCapacityLeakAfterHeavyTailedChurn10k) {
     EXPECT_EQ(engine.residual()[static_cast<std::size_t>(e)],
               base.capacity(e))
         << "edge " << e << " leaked capacity";
-  }
-}
-
-TEST(EngineLeases, InfiniteDurationsMatchLeaseFreeEngineOnAllFamilies) {
-  // Acceptance: the temporal-infinite differential oracle (lease ledger
-  // on + every duration infinite vs the legacy lease-free path,
-  // byte-for-byte) holds on every world family.
-  for (const sim::WorldFamily family : sim::kAllFamilies) {
-    for (std::uint64_t seed : {7ULL, 1234ULL}) {
-      sim::WorldSpec spec;
-      spec.family = family;
-      spec.seed = seed;
-      const sim::SimWorld world = sim::generate_world(spec);
-      const std::vector<std::string> only{"temporal-infinite"};
-      const auto violations =
-          sim::run_oracle_suite(world, sim::OracleOptions{}, only);
-      EXPECT_TRUE(violations.empty())
-          << sim::family_name(family) << "/" << seed << ": "
-          << (violations.empty() ? "" : violations.front().detail);
-    }
   }
 }
 
@@ -165,14 +144,14 @@ TEST(EngineLeases, TemporalOraclesPassOnChurningWorlds) {
   }
 }
 
-TEST(EngineLeases, PersistentResidualByteIdenticalUnderChurnOnAllFamilies) {
+TEST(EngineLeases, ConfigDiffHoldsUnderChurnOnAllFamilies) {
   // Acceptance (DESIGN.md §12): the persistent ResidualGraph engine must
   // replay admit → expire → re-admit churn byte-for-byte against the
-  // legacy snapshot-per-epoch engine. The residual-differential oracle
-  // runs both the plain and the temporal engine through persistent and
-  // snapshot modes under heap and bucket kernels at 1 and 4 threads and
-  // diffs every per-epoch field exactly (==, no tolerance), including
-  // the solver iteration / shortest-path counters.
+  // naive reference engine (a fresh snapshot and solve per epoch). The
+  // config-diff oracle runs both on the plain and the churn replay under
+  // heap and bucket kernels at 1 and 4 threads and diffs every digest
+  // field exactly (==, no tolerance), including the solver iteration /
+  // shortest-path counters.
   for (const sim::WorldFamily family : sim::kAllFamilies) {
     for (const DurationProfile profile :
          {DurationProfile::kExponential, DurationProfile::kHeavyTailed}) {
@@ -182,7 +161,7 @@ TEST(EngineLeases, PersistentResidualByteIdenticalUnderChurnOnAllFamilies) {
       spec.durations = profile;
       const sim::SimWorld world = sim::generate_world(spec);
       ASSERT_FALSE(world.durations.empty());
-      const std::vector<std::string> only{"residual-differential"};
+      const std::vector<std::string> only{"config-diff"};
       const auto violations =
           sim::run_oracle_suite(world, sim::OracleOptions{}, only);
       EXPECT_TRUE(violations.empty())
@@ -196,10 +175,10 @@ TEST(EngineLeases, PersistentResidualByteIdenticalUnderChurnOnAllFamilies) {
 TEST(EngineLeases, ScaleChurnWorldByteIdenticalAndKeepsWarmTrees) {
   // The non-saturating churn tier at test scale (the bench runs the same
   // shape at 10^6 requests): a 60x60 grid under hub-local traffic with
-  // exponential lease churn. The residual-differential oracle diffs the
-  // persistent engine against the snapshot engine on every report field
-  // at heap/bucket x 1/4 threads — including the cross-leg equality of
-  // the warm-tree reclaim counters — and a direct persistent run must
+  // exponential lease churn. The config-diff oracle diffs the production
+  // engine against the reference engine on every digest field at
+  // heap/bucket x 1/4 threads — including the cross-leg equality of the
+  // warm-tree reclaim counters — and the production churn replay must
   // show trees actually SURVIVING reclaims (kept > 0), the property the
   // whole per-tree revalidation exists for.
   sim::ScaleChurnSpec spec;
@@ -208,47 +187,30 @@ TEST(EngineLeases, ScaleChurnWorldByteIdenticalAndKeepsWarmTrees) {
   const sim::SimWorld world = sim::make_scale_churn_world(spec);
   ASSERT_FALSE(world.durations.empty());
 
-  const std::vector<std::string> only{"residual-differential"};
+  const std::vector<std::string> only{"config-diff"};
   const auto violations =
       sim::run_oracle_suite(world, sim::OracleOptions{}, only);
   EXPECT_TRUE(violations.empty())
       << (violations.empty() ? "" : violations.front().detail);
 
-  // Direct persistent churn replay: reclaims fire and warm trees survive
-  // them (hub-local traffic keeps most hubs away from any reclaimed
-  // edge).
-  EpochEngineConfig config;
-  config.max_batch = world.max_batch;
-  config.track_leases = true;
-  config.solver = world.solver;
-  config.solver.capacity_guard = true;
-  EpochEngine engine(world.instance.shared_graph(), config);
-  const auto& requests = world.instance.requests();
-  std::vector<TimedRequest> batch;
-  for (std::size_t i = 0; i < requests.size(); ++i) {
-    TimedRequest t;
-    t.arrival_time = world.arrivals[i];
-    t.sequence = static_cast<std::int64_t>(i);
-    t.duration = world.durations[i];
-    t.request = requests[i];
-    batch.push_back(t);
-    if (static_cast<int>(batch.size()) < world.max_batch &&
-        i + 1 < requests.size()) {
-      continue;
-    }
-    engine.run_epoch(batch);
-    batch.clear();
+  // Reclaims fire and warm trees survive them (hub-local traffic keeps
+  // most hubs away from any reclaimed edge).
+  sim::ReplayOptions churn;
+  churn.churn = true;
+  const sim::RunDigest run = sim::replay_world(world, churn);
+  std::int64_t expired = 0;
+  for (const sim::EpochDigest& epoch : run.epochs) {
+    expired += epoch.report.expired_leases;
   }
-  const EngineCounters& c = engine.metrics().counters();
-  EXPECT_GT(c.leases_expired, 0);
-  EXPECT_GT(c.trees_kept_on_reclaim, 0);
-  EXPECT_GT(c.trees_dropped_on_reclaim, 0);
+  EXPECT_GT(expired, 0);
+  EXPECT_GT(run.trees_kept_on_reclaim, 0);
+  EXPECT_GT(run.trees_dropped_on_reclaim, 0);
 }
 
-TEST(EngineLeases, ScaleChurnFlashCrowdMatchesSnapshotEngine) {
+TEST(EngineLeases, ScaleChurnFlashCrowdMatchesReferenceEngine) {
   // Flash-crowd durations release whole cohorts at once — the stress
   // case for batched reclaim revalidation (many reclaimed edges in one
-  // epoch boundary). Smaller grid keeps the four-leg differential cheap.
+  // epoch boundary). Smaller grid keeps the config-diff legs cheap.
   sim::ScaleChurnSpec spec;
   spec.rows = 30;
   spec.cols = 30;
@@ -261,7 +223,7 @@ TEST(EngineLeases, ScaleChurnFlashCrowdMatchesSnapshotEngine) {
   spec.seed = 11;
   const sim::SimWorld world = sim::make_scale_churn_world(spec);
   ASSERT_FALSE(world.durations.empty());
-  const std::vector<std::string> only{"residual-differential"};
+  const std::vector<std::string> only{"config-diff"};
   const auto violations =
       sim::run_oracle_suite(world, sim::OracleOptions{}, only);
   EXPECT_TRUE(violations.empty())

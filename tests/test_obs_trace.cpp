@@ -1,9 +1,10 @@
 // Decision provenance traces + span profiler (DESIGN.md §14): the
 // byte-exact DecisionRecord wire format, the bounded trace ring, the
 // nested span profiler, and — on a live engine — one pinned record per
-// outcome class plus byte-identity of the full decision stream across SP
-// kernels and thread counts (the trace-differential sim oracle, here run
-// on one world of every family).
+// outcome class, the bounded base-BFS memo behind rejection
+// classification, plus byte-identity of the full decision stream across
+// SP kernels and thread counts (the config-diff sim oracle, here run on
+// one world of every family).
 #include <gtest/gtest.h>
 
 #include <memory>
@@ -70,8 +71,8 @@ TEST(DecisionRecord, JsonIsByteExact) {
   rec.admitted_at = 1.5;
   rec.expires_at = kInf;
   // Field order and rendering are part of the byte-exact contract: every
-  // determinism gate (trace-differential, tufp_trace diff) diffs these
-  // strings verbatim.
+  // determinism gate (config-diff, tufp_trace diff) diffs these strings
+  // verbatim.
   EXPECT_EQ(rec.to_json(),
             "{\"event\":\"decision\",\"chan\":\"det\",\"seq\":7,\"epoch\":2,"
             "\"outcome\":\"admitted\",\"close_time\":1.5,\"value\":4,"
@@ -208,6 +209,57 @@ TEST(DecisionTraceEngine, CapacityBlockedNamesBottleneckNoPathIsTopological) {
       << lines[2];
 }
 
+// The base-BFS trees behind no_path -> capacity_blocked reclassification
+// are memoized per rejected source, at most kBaseBfsMemoCap at once. A
+// star of more distinct sources than the cap, all cut off by one
+// saturated hub edge, keeps the memo bounded, and every record matches
+// the one a fresh engine (one source, one tree) emits for that request.
+TEST(DecisionTraceEngine, BaseBfsMemoStaysBoundedAndDecisionsUnchanged) {
+  const int sources = static_cast<int>(EpochEngine::kBaseBfsMemoCap) + 36;
+  const VertexId hub = sources;
+  const VertexId sink = sources + 1;
+  Graph g = Graph::directed(sources + 2);
+  for (VertexId s = 0; s < sources; ++s) g.add_edge(s, hub, 10.0);
+  g.add_edge(hub, sink, 1.5);  // edge `sources`: below the floor once leased
+  g.finalize();
+  const auto graph = std::make_shared<const Graph>(std::move(g));
+  EpochEngineConfig config;
+  config.max_batch = sources;
+  const TimedRequest saturate = make_timed(0.0, 0, 1.0, 2.0, kInf, 0, sink);
+  const auto rejected = [&](VertexId s) {
+    return make_timed(1.0, s, 0.5, 1.0, kInf, s, sink);
+  };
+
+  std::size_t cached = 0;
+  const std::vector<std::string> lines =
+      traced_run(graph, config, [&](EpochEngine& engine) {
+        engine.run_epoch({saturate});
+        std::vector<TimedRequest> batch;
+        for (VertexId s = 1; s < sources; ++s) batch.push_back(rejected(s));
+        engine.run_epoch(batch);
+        cached = engine.base_bfs_trees_cached();
+      });
+  ASSERT_EQ(lines.size(), static_cast<std::size_t>(sources));
+  EXPECT_GT(cached, 0u);
+  EXPECT_LE(cached, EpochEngine::kBaseBfsMemoCap);
+  const std::string hub_edge =
+      "\"bottleneck_edge\":" + std::to_string(sources) + ",";
+  for (VertexId s = 1; s < sources; ++s) {
+    const std::string& line = lines[static_cast<std::size_t>(s)];
+    EXPECT_NE(line.find("\"outcome\":\"capacity_blocked\""),
+              std::string::npos)
+        << line;
+    EXPECT_NE(line.find(hub_edge), std::string::npos) << line;
+    const std::vector<std::string> alone =
+        traced_run(graph, config, [&](EpochEngine& engine) {
+          engine.run_epoch({saturate});
+          engine.run_epoch({rejected(s)});
+        });
+    ASSERT_EQ(alone.size(), 2u);
+    EXPECT_EQ(line, alone[1]) << "source " << s;
+  }
+}
+
 // Invalid sheds and lease expiries terminate in records too: every
 // request offered to the engine closes in exactly one decision.
 TEST(DecisionTraceEngine, InvalidAndLeaseExpiryEmitRecords) {
@@ -279,11 +331,12 @@ TEST(DecisionTraceEngine, StreamIsByteIdenticalAcrossKernelsAndThreads) {
   }
 }
 
-// The trace-differential oracle on one world of every family: the full
-// kernel x thread x {plain, churn} matrix, plus the exactly-one-
-// decision-per-request audit, on generated worlds.
-TEST(DecisionTraceEngine, TraceDifferentialHoldsOnEveryWorldFamily) {
-  const std::vector<std::string> only{"trace-differential"};
+// The config-diff oracle on one world of every family: the full engine x
+// kernel x thread x {plain, churn} matrix — rendered decision streams
+// included — plus the exactly-one-decision-per-request audit, on
+// generated worlds.
+TEST(DecisionTraceEngine, ConfigDiffHoldsOnEveryWorldFamily) {
+  const std::vector<std::string> only{"config-diff"};
   for (const sim::WorldFamily family : sim::kAllFamilies) {
     const sim::SimWorld world = sim::generate_world({family, 17});
     const std::vector<sim::Violation> violations =

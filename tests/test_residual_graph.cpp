@@ -312,16 +312,14 @@ TEST(ResidualGraph, OpenEpochEnforcesTheReclaimWriteBackContract) {
 TEST(ResidualGraph, EngineExposesPersistentStateAndTelemetry) {
   const std::shared_ptr<const Graph> base = make_diamond();
 
-  // Persistent mode (the default): the engine owns a ResidualGraph and a
-  // cross-epoch workspace, and residual() reads through the store.
+  // The engine owns a ResidualGraph and a cross-epoch workspace, and
+  // residual() reads through the store.
   EpochEngine engine(base, EpochEngineConfig{});
-  ASSERT_NE(engine.residual_graph(), nullptr);
-  ASSERT_NE(engine.workspace(), nullptr);
-  EXPECT_EQ(engine.residual().data(), engine.residual_graph()->residual().data());
-  EXPECT_GE(engine.workspace()->warm_tree_hits(), 0);
-  EXPECT_GE(engine.workspace()->warm_entries_served(), 0);
-  EXPECT_GE(engine.workspace()->shard_plan_builds(), 0);
-  EXPECT_GE(engine.workspace()->shard_plan_reuses(), 0);
+  EXPECT_EQ(engine.residual().data(), engine.residual_graph().residual().data());
+  EXPECT_GE(engine.workspace().warm_tree_hits(), 0);
+  EXPECT_GE(engine.workspace().warm_entries_served(), 0);
+  EXPECT_GE(engine.workspace().shard_plan_builds(), 0);
+  EXPECT_GE(engine.workspace().shard_plan_reuses(), 0);
 
   TimedRequest req;
   req.arrival_time = 0.0;
@@ -331,15 +329,7 @@ TEST(ResidualGraph, EngineExposesPersistentStateAndTelemetry) {
   const AdmissionReport report = engine.run_epoch({req});
   EXPECT_EQ(report.admitted, 1);
   // The admission went through the persistent store in place.
-  EXPECT_GT(engine.residual_graph()->clock(), 0);
-
-  // Legacy snapshot mode keeps the accessors null — the differential
-  // baseline has no persistent state to expose.
-  EpochEngineConfig legacy;
-  legacy.persistent_residual = false;
-  EpochEngine snapshot_engine(base, legacy);
-  EXPECT_EQ(snapshot_engine.residual_graph(), nullptr);
-  EXPECT_EQ(snapshot_engine.workspace(), nullptr);
+  EXPECT_GT(engine.residual_graph().clock(), 0);
 }
 
 }  // namespace

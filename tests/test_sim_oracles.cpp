@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <sstream>
 
 #include "tufp/sim/world_gen.hpp"
@@ -118,6 +119,50 @@ TEST(SimOracles, WrappedInstanceReplaysThroughTheSuite) {
   const SimWorld replay = wrap_instance(load_ufp(ss));
   EXPECT_EQ(replay.instance.num_requests(), world.instance.num_requests());
   EXPECT_TRUE(run_oracle_suite(replay, OracleOptions{}).empty());
+}
+
+// config-diff bites: a digest that differs from its base leg in one
+// payment, one residual entry or one rendered decision line is reported
+// at exactly that field, and the fields a reference leg does not define
+// are never compared against it.
+TEST(SimOracles, ConfigDiffNamesTheFirstDifferingField) {
+  const SimWorld world = generate_world(
+      {WorldFamily::kGrid, 5, DurationProfile::kExponential});
+  ReplayOptions churn;
+  churn.churn = true;
+  churn.decisions = true;
+  const RunDigest want = replay_world(world, churn);
+  ASSERT_GE(want.epochs.size(), 2u);
+  ASSERT_GE(want.decisions.size(), 3u);
+  ASSERT_GE(want.epochs[1].residual.size(), 4u);
+  EXPECT_EQ(digest_diff(want, want), "");
+  ReplayOptions reference = churn;
+  reference.reference = true;
+  EXPECT_EQ(digest_diff(want, replay_world(world, reference)), "");
+
+  // One field changed in a copy of the base digest; the diff must start
+  // by naming it.
+  const auto expect_named = [&](const auto& mutate, const std::string& field) {
+    RunDigest got = want;
+    mutate(got);
+    const std::string diff = digest_diff(want, got);
+    EXPECT_EQ(diff.compare(0, field.size(), field), 0) << diff;
+    return got;
+  };
+  const auto winner = std::find_if(
+      want.epochs.begin(), want.epochs.end(),
+      [](const EpochDigest& e) { return !e.report.allocations.empty(); });
+  ASSERT_NE(winner, want.epochs.end()) << "world admits nothing";
+  const auto w = static_cast<std::size_t>(winner - want.epochs.begin());
+  expect_named([&](RunDigest& d) {
+    d.epochs[w].report.allocations[0].payment += 0.25;
+  }, "epoch " + std::to_string(w) + " allocations[0].payment: ");
+  expect_named([](RunDigest& d) { d.epochs[1].residual[3] += 0.5; },
+               "epoch 1 residual[3]: ");
+  RunDigest got = expect_named([](RunDigest& d) { d.decisions[2] += " "; },
+                               "decisions[2]: ");
+  got.production = false;  // a reference leg defines no decision stream
+  EXPECT_EQ(digest_diff(want, got), "");
 }
 
 TEST(SimOracles, FaultNamesRoundTrip) {

@@ -5,7 +5,7 @@
 //
 //   tufp_fuzz --seed 7 --budget 120            # 120 worlds, deterministic
 //   tufp_fuzz --budget 60s --repro-dir repros  # nightly: wall-clock cap
-//   tufp_fuzz --families grid,ring --oracles feasible,kernel-diff
+//   tufp_fuzz --families grid,ring --oracles feasible,config-diff
 //   tufp_fuzz --inject overcharge-winners      # prove the harness bites
 //
 // Replay mode: load a repro (or any workload/io ufp file) and run the
