@@ -79,13 +79,17 @@ void EpochEngine::reset() {
 }
 
 const EpochEngine::BaseBfsTree& EpochEngine::base_bfs(VertexId source) {
-  const auto it = base_bfs_trees_.find(source);
-  if (it != base_bfs_trees_.end()) return it->second;
-  if (base_bfs_trees_.size() >= kBaseBfsMemoCap) base_bfs_trees_.clear();
+  for (const BaseBfsTree& tree : base_bfs_trees_) {
+    if (tree.source == source) return tree;
+  }
+  BaseBfsTree& tree =
+      base_bfs_trees_.size() < kBaseBfsMemoCap
+          ? base_bfs_trees_.emplace_back()
+          : base_bfs_trees_[base_bfs_victim_.next() % kBaseBfsMemoCap];
   // Canonical parent tree: plain queue BFS in CSR arc order, a pure
   // function of the topology — every run, kernel and thread count walks
   // the same route for a given terminal pair.
-  BaseBfsTree tree;
+  tree.source = source;
   const auto n = static_cast<std::size_t>(base_->num_vertices());
   tree.parent_vertex.assign(n, kInvalidVertex);
   tree.parent_edge.assign(n, kInvalidEdge);
@@ -102,7 +106,7 @@ const EpochEngine::BaseBfsTree& EpochEngine::base_bfs(VertexId source) {
       queue.push_back(arc.to);
     }
   }
-  return base_bfs_trees_.emplace(source, std::move(tree)).first->second;
+  return tree;
 }
 
 EpochEngine::BaseRouteProbe EpochEngine::probe_base_route(VertexId source,

@@ -43,7 +43,6 @@
 
 #include <cstdint>
 #include <functional>
-#include <map>
 #include <memory>
 #include <span>
 #include <vector>
@@ -55,11 +54,12 @@
 #include "tufp/temporal/lease_ledger.hpp"
 #include "tufp/ufp/bounded_ufp.hpp"
 #include "tufp/ufp/workspace.hpp"
+#include "tufp/util/rng.hpp"
 
 namespace tufp {
 
 namespace obs {
-class DecisionTrace;  // obs/trace.hpp
+class DecisionSink;  // obs/trace.hpp
 }
 
 enum class PaymentPolicy { kNone, kDualPrice, kCritical };
@@ -122,6 +122,8 @@ struct AdmissionRecord {
   double bid = 0.0;
   double payment = 0.0;
   int path_edges = 0;
+
+  bool operator==(const AdmissionRecord&) const = default;
 };
 
 // Outcome of one epoch's auction. Every field except solve_seconds is a
@@ -232,9 +234,10 @@ class EpochEngine {
   const UfpWorkspace& workspace() const { return *workspace_; }
 
   // Base-BFS trees memoized for rejection classification: at most
-  // kBaseBfsMemoCap, dropped wholesale above it (trees depend only on the
-  // topology, so a rebuilt tree is the evicted one). 64 keeps every
-  // bench source pool (at most 32 hubs) resident.
+  // kBaseBfsMemoCap; a full memo overwrites a pseudo-random tree (trees
+  // depend only on the topology, so a rebuilt tree is the evicted one).
+  // Random replacement still hits on a source cycle longer than the cap,
+  // which drops every tree before its reuse under FIFO or LRU order.
   static constexpr std::size_t kBaseBfsMemoCap = 64;
   std::size_t base_bfs_trees_cached() const { return base_bfs_trees_.size(); }
 
@@ -262,7 +265,7 @@ class EpochEngine {
   // commit path in canonical order: reclaim drains first, then invalid
   // sheds in batch order, then per-request outcomes in ascending request
   // order. Per-outcome counters fill with or without a trace attached.
-  void set_decision_trace(obs::DecisionTrace* trace) { trace_ = trace; }
+  void set_decision_trace(obs::DecisionSink* trace) { trace_ = trace; }
 
   // Forgets all admissions: residual back to base capacities, metrics,
   // leases and epoch counter to zero.
@@ -286,6 +289,7 @@ class EpochEngine {
   // capacity_blocked with the first edge on the canonical base-BFS route
   // the live residual holds below the floor as its bottleneck.
   struct BaseBfsTree {
+    VertexId source = kInvalidVertex;
     std::vector<VertexId> parent_vertex;  // kInvalidVertex = unvisited
     std::vector<EdgeId> parent_edge;
   };
@@ -306,12 +310,13 @@ class EpochEngine {
   std::unique_ptr<temporal::LeaseLedger> ledger_;
   double total_capacity_ = 0.0;
   EngineMetrics metrics_;
-  obs::DecisionTrace* trace_ = nullptr;
+  obs::DecisionSink* trace_ = nullptr;
   // Memoized base-topology BFS parent trees, one per distinct rejected
-  // source, at most kBaseBfsMemoCap of them. The base graph is immutable,
-  // so trees never invalidate; only the bottleneck scan reads live
-  // residual state.
-  std::map<VertexId, BaseBfsTree> base_bfs_trees_;
+  // source, at most kBaseBfsMemoCap of them (found by a linear scan). The
+  // base graph is immutable, so trees never invalidate; only the
+  // bottleneck scan reads live residual state.
+  std::vector<BaseBfsTree> base_bfs_trees_;
+  SplitMix64 base_bfs_victim_{0};  // picks the tree a full memo evicts
   std::vector<EdgeId> route_scratch_;  // probe path reconstruction
   // Epoch id decision records are attributed to while clear_epoch is on
   // the stack; -1 between epochs (an external reclaim_expired drain —

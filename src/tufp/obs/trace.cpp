@@ -24,12 +24,13 @@ const char* decision_name(DecisionOutcome outcome) {
 }
 
 std::string DecisionRecord::to_json() const {
-  std::string edges = "[";
+  std::ostringstream edges;
+  edges << '[';
   for (std::size_t i = 0; i < path.size(); ++i) {
-    if (i != 0) edges += ',';
-    edges += std::to_string(path[i]);
+    if (i != 0) edges << ',';
+    edges << path[i];
   }
-  edges += ']';
+  edges << ']';
   JsonObject obj;
   obj.field("event", "decision")
       .field("chan", "det")
@@ -39,7 +40,7 @@ std::string DecisionRecord::to_json() const {
       .field("close_time", close_time)
       .field("value", value)
       .field("demand", demand)
-      .raw("path", edges)
+      .raw("path", edges.str())
       .field("payment", payment)
       .field("warm_tree", warm_tree)
       .field("density", density)

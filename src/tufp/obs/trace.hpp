@@ -81,15 +81,26 @@ struct DecisionRecord {
   double expires_at = 0.0;    // lease expiry (inf = holds forever)
 
   // `{"event":"decision","chan":"det",...}` through the canonical
-  // formatter; field order is part of the byte-exact contract.
+  // formatter; field order is part of the byte-exact contract. A new
+  // field also joins same_record() in sim/oracles.cpp, which compares
+  // records in place of their rendered lines.
   std::string to_json() const;
+};
+
+// Receiver of an engine's decision records (EpochEngine::
+// set_decision_trace): DecisionTrace renders them, the config-diff sim
+// oracle keeps them as records.
+class DecisionSink {
+ public:
+  virtual ~DecisionSink() = default;
+  virtual void record(const DecisionRecord& record) = 0;
 };
 
 // Renders decision records onto a telemetry sink's det channel and keeps
 // the last `ring_capacity` rendered lines in a bounded ring so a serving
 // daemon can dump recent history on a sanity violation (tufp_serve
 // --trace). Sink may be null: ring-only capture.
-class DecisionTrace {
+class DecisionTrace final : public DecisionSink {
  public:
   struct Config {
     std::size_t ring_capacity = 256;
@@ -102,7 +113,7 @@ class DecisionTrace {
       : DecisionTrace(sink, Config{}) {}
   DecisionTrace(TelemetrySink* sink, Config config);
 
-  void record(const DecisionRecord& record);
+  void record(const DecisionRecord& record) override;
 
   std::int64_t records_emitted() const { return records_; }
   // Oldest-first snapshot of the retained rendered lines.

@@ -1,7 +1,9 @@
 #include "tufp/sim/oracles.hpp"
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
+#include <functional>
 #include <optional>
 #include <sstream>
 #include <utility>
@@ -113,7 +115,7 @@ void replay_into(const SimWorld& world, bool churn, Engine& engine,
 std::string show(double v) { return fmt(v); }
 std::string show(std::int64_t v) { return std::to_string(v); }
 std::string show(int v) { return std::to_string(v); }
-std::string show(const std::string& v) { return v; }
+std::string show(const obs::DecisionRecord& r) { return r.to_json(); }
 std::string show(const Path& p) {
   std::string out = "[";
   for (const EdgeId e : p) {
@@ -124,31 +126,64 @@ std::string show(const Path& p) {
 }
 
 // Accumulates the first differing field; later comparisons are no-ops.
+// A field's full name is the current prefix plus its own, built only for
+// the difference reported.
 class FirstDiff {
  public:
+  void set_prefix(std::string prefix) { prefix_ = std::move(prefix); }
   template <class T>
-  void field(const std::string& name, const T& want, const T& got) {
+  void field(const char* name, const T& want, const T& got) {
     if (found() || want == got) return;
-    diff_ = name + ": " + show(want) + " vs " + show(got);
+    diff_ = prefix_ + name + ": " + show(want) + " vs " + show(got);
   }
-  template <class T>
-  void seq(const std::string& name, const std::vector<T>& want,
-           const std::vector<T>& got) {
-    if (found() || want == got) return;
+  template <class T, class Eq = std::equal_to<>>
+  void seq(const char* name, const std::vector<T>& want,
+           const std::vector<T>& got, Eq eq = {}) {
+    if (found()) return;
     if (want.size() != got.size()) {
-      diff_ = name + " length: " + std::to_string(want.size()) + " vs " +
-              std::to_string(got.size());
+      diff_ = prefix_ + name + " length: " + std::to_string(want.size()) +
+              " vs " + std::to_string(got.size());
       return;
     }
-    std::size_t k = 0;
-    while (want[k] == got[k]) ++k;
-    field(name + "[" + std::to_string(k) + "]", want[k], got[k]);
+    for (std::size_t k = 0; k < want.size(); ++k) {
+      if (eq(want[k], got[k])) continue;
+      diff_ = prefix_ + name + "[" + std::to_string(k) + "]: " +
+              show(want[k]) + " vs " + show(got[k]);
+      return;
+    }
   }
   bool found() const { return !diff_.empty(); }
   std::string take() { return std::move(diff_); }
 
  private:
+  std::string prefix_;
   std::string diff_;
+};
+
+// Bit-pattern equality: a NaN bid matches itself and -0 differs from 0,
+// exactly as their rendered forms do.
+bool same_bits(double a, double b) {
+  return std::bit_cast<std::uint64_t>(a) == std::bit_cast<std::uint64_t>(b);
+}
+
+// Every field DecisionRecord::to_json() renders.
+bool same_record(const obs::DecisionRecord& a, const obs::DecisionRecord& b) {
+  return a.sequence == b.sequence && a.epoch == b.epoch &&
+         a.outcome == b.outcome && same_bits(a.close_time, b.close_time) &&
+         same_bits(a.value, b.value) && same_bits(a.demand, b.demand) &&
+         a.path == b.path && same_bits(a.payment, b.payment) &&
+         a.warm_tree == b.warm_tree && same_bits(a.density, b.density) &&
+         a.bottleneck_edge == b.bottleneck_edge &&
+         same_bits(a.admitted_at, b.admitted_at) &&
+         same_bits(a.expires_at, b.expires_at);
+}
+
+class RecordCapture final : public obs::DecisionSink {
+ public:
+  void record(const obs::DecisionRecord& record) override {
+    records.push_back(record);
+  }
+  std::vector<obs::DecisionRecord> records;
 };
 
 }  // namespace
@@ -181,13 +216,11 @@ RunDigest replay_world(const SimWorld& world, const ReplayOptions& options) {
     replay_into(world, options.churn, engine, &digest);
     digest.production = false;
   } else {
-    // An unbounded ring keeps every rendered line: exactly the bytes a det
-    // sink would see.
-    obs::DecisionTrace trace(nullptr, {SIZE_MAX});
+    RecordCapture trace;
     EpochEngine engine(graph, config);
     if (options.decisions) engine.set_decision_trace(&trace);
     digest = replay_world(world, options.churn, engine);
-    digest.decisions = trace.ring_snapshot();
+    digest.decisions = std::move(trace.records);
   }
   const char* kernel = "world";
   if (options.kernel == SpKernel::kHeap) kernel = "heap";
@@ -213,8 +246,8 @@ std::string digest_diff(const RunDigest& want, const RunDigest& got) {
   for (std::size_t i = 0; i < want.epochs.size() && !d.found(); ++i) {
     const AdmissionReport& x = want.epochs[i].report;
     const AdmissionReport& y = got.epochs[i].report;
-    const std::string at = "epoch " + std::to_string(x.epoch) + " ";
-#define TUFP_DIGEST_FIELD(f) d.field(at + #f, x.f, y.f)
+    d.set_prefix("epoch " + std::to_string(x.epoch) + " ");
+#define TUFP_DIGEST_FIELD(f) d.field(#f, x.f, y.f)
     TUFP_DIGEST_FIELD(epoch);
     TUFP_DIGEST_FIELD(batch_size);
     TUFP_DIGEST_FIELD(admitted);
@@ -242,22 +275,25 @@ std::string digest_diff(const RunDigest& want, const RunDigest& got) {
     TUFP_DIGEST_FIELD(queue_depth);
     TUFP_DIGEST_FIELD(max_admission_delay);
 #undef TUFP_DIGEST_FIELD
-    d.field(at + "allocations length",
+    d.field("allocations length",
             static_cast<std::int64_t>(x.allocations.size()),
             static_cast<std::int64_t>(y.allocations.size()));
     for (std::size_t j = 0; j < x.allocations.size() && !d.found(); ++j) {
       const AdmissionRecord& a = x.allocations[j];
       const AdmissionRecord& b = y.allocations[j];
-      const std::string w = at + "allocations[" + std::to_string(j) + "].";
-      d.field(w + "sequence", a.sequence, b.sequence);
-      d.field(w + "request", a.request, b.request);
-      d.field(w + "bid", a.bid, b.bid);
-      d.field(w + "payment", a.payment, b.payment);
-      d.field(w + "path_edges", a.path_edges, b.path_edges);
+      if (a == b) continue;
+      d.set_prefix("epoch " + std::to_string(x.epoch) + " allocations[" +
+                   std::to_string(j) + "].");
+      d.field("sequence", a.sequence, b.sequence);
+      d.field("request", a.request, b.request);
+      d.field("bid", a.bid, b.bid);
+      d.field("payment", a.payment, b.payment);
+      d.field("path_edges", a.path_edges, b.path_edges);
     }
-    d.seq(at + "residual", want.epochs[i].residual, got.epochs[i].residual);
-    d.seq(at + "leased", want.epochs[i].leased, got.epochs[i].leased);
+    d.seq("residual", want.epochs[i].residual, got.epochs[i].residual);
+    d.seq("leased", want.epochs[i].leased, got.epochs[i].leased);
   }
+  d.set_prefix("");
   d.field("horizon reclaimed", want.reclaimed_at_horizon,
           got.reclaimed_at_horizon);
   d.seq("final residual", want.final_residual, got.final_residual);
@@ -266,7 +302,7 @@ std::string digest_diff(const RunDigest& want, const RunDigest& got) {
         got.final_active_on_edge);
   d.field("final active", want.final_active, got.final_active);
   if (outcomes) {
-    d.seq("decisions", want.decisions, got.decisions);
+    d.seq("decisions", want.decisions, got.decisions, same_record);
     d.field("trees_kept_on_reclaim", want.trees_kept_on_reclaim,
             got.trees_kept_on_reclaim);
     d.field("trees_dropped_on_reclaim", want.trees_dropped_on_reclaim,
@@ -788,7 +824,7 @@ std::vector<Violation> oracle_temporal_no_leak(OracleContext& ctx) {
 // must equal the production heap-t1 digest of its replay — admissions,
 // payments, residual and ledger views, solver counters, the horizon
 // drain and the one-shot solve's dual state; production legs also the
-// outcome split, the rendered decision stream and the warm-tree reclaim
+// outcome split, the decision record stream and the warm-tree reclaim
 // counters. On top, the base leg's decision stream must satisfy the
 // terminal-decision contract: exactly one non-expiry record per offered
 // request.
@@ -838,9 +874,8 @@ std::vector<Violation> oracle_config_diff(OracleContext& ctx) {
           }
           const auto decisions = std::count_if(
               digest.decisions.begin(), digest.decisions.end(),
-              [](const std::string& line) {
-                return line.find("\"outcome\":\"lease_expired\"") ==
-                       std::string::npos;
+              [](const obs::DecisionRecord& r) {
+                return r.outcome != obs::DecisionOutcome::kLeaseExpired;
               });
           const auto offered = world.instance.requests().size();
           if (static_cast<std::size_t>(decisions) != offered) {

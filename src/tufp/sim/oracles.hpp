@@ -67,6 +67,7 @@
 #include <vector>
 
 #include "tufp/engine/epoch_engine.hpp"
+#include "tufp/obs/trace.hpp"
 #include "tufp/sim/world.hpp"
 
 namespace tufp::sim {
@@ -177,10 +178,12 @@ struct RunDigest {
   std::vector<double> final_leased;
   std::vector<int> final_active_on_edge;
   std::int64_t final_active = 0;
-  // Production only: the rendered DecisionRecord stream (obs/trace.hpp;
-  // captured when ReplayOptions::decisions is set) and the warm-tree
-  // reclaim revalidation counters.
-  std::vector<std::string> decisions;
+  // Production only: the DecisionRecord stream (obs/trace.hpp; captured
+  // when ReplayOptions::decisions is set) and the warm-tree reclaim
+  // revalidation counters. Records compare field by field, doubles by
+  // bit pattern: equal records render byte-identical lines, so this is
+  // the rendered stream's comparison without rendering every leg.
+  std::vector<obs::DecisionRecord> decisions;
   std::int64_t trees_kept_on_reclaim = 0;
   std::int64_t trees_dropped_on_reclaim = 0;
 };
@@ -194,7 +197,7 @@ struct ReplayOptions {
   bool churn = false;
   // sim::ReferenceEngine instead of the production EpochEngine.
   bool reference = false;
-  // Capture the production engine's rendered decision stream.
+  // Capture the production engine's decision stream.
   bool decisions = false;
 };
 

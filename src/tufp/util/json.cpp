@@ -1,6 +1,5 @@
 #include "tufp/util/json.hpp"
 
-#include <charconv>
 #include <cmath>
 #include <cstdio>
 
@@ -10,9 +9,8 @@ std::string json_double(double value) {
   if (std::isnan(value)) return "nan";
   if (std::isinf(value)) return value > 0 ? "inf" : "-inf";
   char buf[32];
-  const auto end = std::to_chars(buf, buf + sizeof(buf), value,
-                                 std::chars_format::general, 17);
-  return std::string(buf, end.ptr);
+  std::snprintf(buf, sizeof(buf), "%.17g", value);
+  return buf;
 }
 
 std::string json_escape(std::string_view text) {
@@ -40,48 +38,42 @@ std::string json_escape(std::string_view text) {
 }
 
 void JsonObject::key(std::string_view name) {
-  if (!first_) body_ += ',';
+  if (!first_) body_ << ',';
   first_ = false;
-  body_ += '"';
-  body_ += json_escape(name);
-  body_ += "\":";
+  body_ << '"' << json_escape(name) << "\":";
 }
 
 JsonObject& JsonObject::field(std::string_view name, std::string_view text) {
   key(name);
-  body_ += '"';
-  body_ += json_escape(text);
-  body_ += '"';
+  body_ << '"' << json_escape(text) << '"';
   return *this;
 }
 
 JsonObject& JsonObject::field(std::string_view name, double value) {
   key(name);
   if (std::isfinite(value)) {
-    body_ += json_double(value);
+    body_ << json_double(value);
   } else {
-    body_ += '"';
-    body_ += json_double(value);
-    body_ += '"';
+    body_ << '"' << json_double(value) << '"';
   }
   return *this;
 }
 
 JsonObject& JsonObject::field(std::string_view name, std::int64_t value) {
   key(name);
-  body_ += std::to_string(value);
+  body_ << value;
   return *this;
 }
 
 JsonObject& JsonObject::field(std::string_view name, bool value) {
   key(name);
-  body_ += value ? "true" : "false";
+  body_ << (value ? "true" : "false");
   return *this;
 }
 
 JsonObject& JsonObject::raw(std::string_view name, std::string_view json) {
   key(name);
-  body_ += json;
+  body_ << json;
   return *this;
 }
 
@@ -89,7 +81,7 @@ std::string JsonObject::str() const {
   // Appended in place: GCC 12 flags `"{" + body_.str() + "}"` with a
   // spurious -Wrestrict from the inlined operator+ overlap check.
   std::string out = "{";
-  out += body_;
+  out += body_.str();
   out += '}';
   return out;
 }

@@ -6,9 +6,8 @@
 // underlying doubles are identical", which the deterministic channel
 // guarantees. One formatter, one drift surface:
 //   * doubles print as %.17g (shortest form that round-trips IEEE-754
-//     exactly in the worst case), rendered by std::to_chars with
-//     precision 17, which the standard defines as printf's "C"-locale
-//     output — locale-independent by construction;
+//     exactly in the worst case; locale-independent via snprintf on the
+//     "C"-numeric formats the repo never changes);
 //   * non-finite doubles print as quoted strings ("inf"/"-inf"/"nan") —
 //     JSON has no literals for them and silently emitting `null` would
 //     make a missing field and an infinite lease indistinguishable;
@@ -18,6 +17,7 @@
 #pragma once
 
 #include <cstdint>
+#include <sstream>
 #include <string>
 #include <string_view>
 
@@ -53,7 +53,7 @@ class JsonObject {
 
  private:
   void key(std::string_view name);
-  std::string body_;
+  std::ostringstream body_;
   bool first_ = true;
 };
 

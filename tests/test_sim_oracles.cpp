@@ -122,7 +122,7 @@ TEST(SimOracles, WrappedInstanceReplaysThroughTheSuite) {
 }
 
 // config-diff bites: a digest that differs from its base leg in one
-// payment, one residual entry or one rendered decision line is reported
+// payment, one residual entry or one decision record is reported
 // at exactly that field, and the fields a reference leg does not define
 // are never compared against it.
 TEST(SimOracles, ConfigDiffNamesTheFirstDifferingField) {
@@ -159,8 +159,9 @@ TEST(SimOracles, ConfigDiffNamesTheFirstDifferingField) {
   }, "epoch " + std::to_string(w) + " allocations[0].payment: ");
   expect_named([](RunDigest& d) { d.epochs[1].residual[3] += 0.5; },
                "epoch 1 residual[3]: ");
-  RunDigest got = expect_named([](RunDigest& d) { d.decisions[2] += " "; },
-                               "decisions[2]: ");
+  RunDigest got = expect_named(
+      [](RunDigest& d) { d.decisions[2].value = -d.decisions[2].value; },
+      "decisions[2]: ");
   got.production = false;  // a reference leg defines no decision stream
   EXPECT_EQ(digest_diff(want, got), "");
 }
