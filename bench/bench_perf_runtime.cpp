@@ -5,7 +5,7 @@
 // in m and c_max/d_min. On top of the paper claims this suite measures the
 // implementation levers DESIGN.md §6 calls out: lazy shortest-path
 // invalidation, the bucket-queue vs heap Dijkstra kernels, and the
-// OpenMP-parallel per-source tree refresh.
+// parallel per-source tree refresh (util/parallel.hpp).
 //
 // Usage: bench_perf_runtime [--json PATH] [google-benchmark flags]
 //   --json PATH is shorthand for --benchmark_out=PATH
@@ -94,7 +94,7 @@ void BM_BoundedUfpKernel(benchmark::State& state) {
   const UfpInstance inst = grid_workload(6, 600, 12.0, 29);
   BoundedUfpConfig cfg;
   cfg.epsilon = 0.7;
-  cfg.parallel = false;
+  cfg.num_threads = 1;
   cfg.sp_kernel = kernel == 0   ? SpKernel::kHeap
                   : kernel == 1 ? SpKernel::kBucket
                                 : SpKernel::kAuto;
@@ -112,7 +112,7 @@ void BM_BoundedUfp(benchmark::State& state) {
   BoundedUfpConfig cfg;
   cfg.epsilon = 0.7;
   cfg.lazy_shortest_paths = lazy;
-  cfg.parallel = false;
+  cfg.num_threads = 1;
   for (auto _ : state) {
     benchmark::DoNotOptimize(bounded_ufp(inst, cfg).iterations);
   }
@@ -131,11 +131,11 @@ void BM_BoundedUfpParallel(benchmark::State& state) {
   const UfpInstance inst = grid_workload(6, 600, 12.0, 29);
   BoundedUfpConfig cfg;
   cfg.epsilon = 0.7;
-  cfg.parallel = parallel;
+  cfg.num_threads = parallel ? 0 : 1;  // 0: every core
   for (auto _ : state) {
     benchmark::DoNotOptimize(bounded_ufp(inst, cfg).iterations);
   }
-  state.SetLabel(parallel ? "openmp" : "serial");
+  state.SetLabel(parallel ? "pool" : "serial");
 }
 BENCHMARK(BM_BoundedUfpParallel)->Arg(0)->Arg(1)->Unit(benchmark::kMillisecond);
 

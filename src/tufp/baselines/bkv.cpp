@@ -128,8 +128,7 @@ BkvResult run_bkv(const detail::Substrate& sub, const BoundedUfpConfig& config,
 BkvResult bkv_ufp(const UfpInstance& instance, const BoundedUfpConfig& config) {
   TUFP_REQUIRE(instance.is_normalized(), "demands must be in (0,1]");
   const detail::Substrate sub = detail::substrate_of(instance);
-  detail::SpCache cache(instance, config.parallel, config.num_threads,
-                        config.sp_kernel);
+  detail::SpCache cache(instance, config.num_threads, config.sp_kernel);
   return run_bkv(sub, config, cache, /*warm_start=*/false);
 }
 
@@ -139,12 +138,12 @@ BkvResult bkv_ufp(const ResidualView& view, std::span<const Request> requests,
   detail::validate_requests(sub);
   if (workspace != nullptr) {
     detail::SpCache& cache = detail::WorkspaceAccess::bind_cache(
-        *workspace, view.owner(), requests, config.parallel,
-        config.num_threads, config.sp_kernel);
+        *workspace, view.owner(), requests, config.num_threads,
+        config.sp_kernel);
     return run_bkv(sub, config, cache, /*warm_start=*/true);
   }
-  detail::SpCache cache(view.base(), requests, config.parallel,
-                        config.num_threads, config.sp_kernel);
+  detail::SpCache cache(view.base(), requests, config.num_threads,
+                        config.sp_kernel);
   return run_bkv(sub, config, cache, /*warm_start=*/false);
 }
 

@@ -15,7 +15,7 @@
 // not truthful. The seed is an explicit call parameter — the entire state
 // of the coin flips — and the implementation draws from a local
 // Xoshiro256** stream with no shared or global state, so concurrent calls
-// (e.g. the lab's OpenMP beta sweeps) are race-free and reproducible
+// (e.g. the lab's parallel beta sweeps) are race-free and reproducible
 // per-call.
 #pragma once
 

@@ -627,36 +627,26 @@ void EpochEngine::apply_payments(std::span<const Request> requests,
       // solve with it withheld from selection, against the same immutable
       // epoch instance, and its bisection probes are answered from that
       // solve's rounds (mechanism/critical_payment.hpp). Winners fan out
-      // across OpenMP threads and the results land in per-winner slots —
+      // over parallel_for and the results land in per-winner slots —
       // byte-identical for any thread count, read back in arrival order
       // by the allocation loop. The withheld solves run serial (identical
-      // output): parallelism lives at the winner level here, and a
-      // parallel inner config would only allocate engine pools a nested
-      // region cannot use — or oversubscribe when nested OpenMP is
-      // enabled.
+      // output): parallelism lives at the winner level here, and nested
+      // parallel_for calls run inline, so a threaded inner config would
+      // only allocate engines no slot uses.
       BoundedUfpConfig probe_cfg = solver_cfg;
-      probe_cfg.parallel = false;
+      probe_cfg.num_threads = 1;
       std::vector<int> winners;
       for (int r = 0; r < epoch_instance.num_requests(); ++r) {
         if (run.solution.is_selected(r)) winners.push_back(r);
       }
-      const auto price_winner = [&](int r) {
-        const double critical = ufp_critical_value(
-            epoch_instance, probe_cfg, r, config_.payment_options);
-        (*payments)[static_cast<std::size_t>(r)] =
-            std::min(critical, epoch_instance.request(r).value);
-      };
-#if defined(TUFP_HAVE_OPENMP)
-      if (config_.solver.parallel && winners.size() > 1) {
-        const int pool = effective_num_threads(config_.solver.num_threads);
-#pragma omp parallel for schedule(dynamic, 1) num_threads(pool)
-        for (std::size_t i = 0; i < winners.size(); ++i) {
-          price_winner(winners[i]);
-        }
-        return;
-      }
-#endif
-      for (const int r : winners) price_winner(r);
+      parallel_for(winners.size(), config_.solver.num_threads,
+                   [&](std::size_t i, int /*slot*/) {
+                     const int r = winners[i];
+                     const double critical = ufp_critical_value(
+                         epoch_instance, probe_cfg, r, config_.payment_options);
+                     (*payments)[static_cast<std::size_t>(r)] =
+                         std::min(critical, epoch_instance.request(r).value);
+                   });
       return;
     }
   }

@@ -22,7 +22,7 @@
 // byte-identical to the naive sim/reference_engine.hpp.
 //
 // Each epoch is deterministic: Bounded-UFP with the capacity guard is
-// deterministic for any OpenMP thread count (detail/sp_cache.hpp), the
+// deterministic for any thread count (detail/sp_cache.hpp), the
 // stream adapters are seed-deterministic, and the engine adds no other
 // randomness — so the full admission history is byte-identical across
 // thread counts and runs (the determinism tests pin this).

@@ -33,8 +33,8 @@
 //
 // The engine owns its workspace and reuses it across queries with an
 // epoch-versioned label array, so a query costs O(touched vertices) to
-// set up instead of O(n). One engine per thread; the solvers keep a pool
-// for the OpenMP parallel per-source loop.
+// set up instead of O(n). One engine per thread; the solvers keep one per
+// parallel_for slot for the parallel per-source loop.
 #pragma once
 
 #include <cstdint>

@@ -163,7 +163,7 @@ void SourceTreeCache::store(VertexId source, const ShortestPathEngine& engine,
   }
   std::sort(scratch_.begin(), scratch_.end());
 
-  // No eviction here: store() runs on OpenMP refresh workers, and an
+  // No eviction here: store() runs on the refresh's pool workers, and an
   // eviction would make the surviving tree set a function of the thread
   // schedule. The limits are enforced at the serial enforce_limits()
   // point instead (sp_cache calls it at every warm epoch start), so the

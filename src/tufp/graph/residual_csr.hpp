@@ -221,13 +221,13 @@ class ResidualGraph {
 // count or arena high-water crosses its limit, enforce_limits() resets
 // the arena and bumps its generation (the arena generation-reset rule);
 // there is no per-tree free path. store() itself NEVER evicts: it runs
-// on OpenMP refresh workers, and an eviction there would make the
+// on the refresh's pool workers, and an eviction there would make the
 // surviving tree set depend on thread schedule. enforce_limits() must be
 // called from a serial point (sp_cache does, at each warm epoch start),
 // which keeps the tree set — and the reclaim-survival counters over it —
 // deterministic for every thread count.
 //
-// Thread contract: store() is internally locked and safe from the OpenMP
+// Thread contract: store() is internally locked and safe from the pool
 // refresh workers; lookup() is locked too, but the returned pointer is
 // only stable until the next store() — callers consume it in the serial
 // classification pass before any store of the same refresh.

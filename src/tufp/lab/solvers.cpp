@@ -97,7 +97,7 @@ LabSolve solve_exact(const ResidualView& view, std::span<const Request> requests
   UfpExactOptions options;
   // Tight budgets: the lab wants OPT where it is cheap (staircases, small
   // sparse worlds) and a fast, graceful decline where branching explodes
-  // (meshes) — a sweep cell must never stall the whole OpenMP round.
+  // (meshes) — a sweep cell must never stall the whole sweep.
   // max_paths only (it flags truncation and B&B then refuses); a hop
   // cutoff would shrink the search space silently and fake proven
   // optimality below the true OPT.

@@ -13,7 +13,7 @@
 //
 // Every solver is a pure function of (instance, config) — `rounding`
 // includes its explicit seed in the config — so lab sweeps are
-// deterministic under any OpenMP schedule.
+// deterministic under any parallel_for schedule.
 #pragma once
 
 #include <cstdint>
@@ -27,7 +27,8 @@
 namespace tufp::lab {
 
 // All lab solves run strictly serial regardless of this config: the sweep
-// parallelizes across cells and must not nest OpenMP regions.
+// parallelizes across cells, and a parallel_for nested in a cell runs
+// inline.
 struct LabSolveConfig {
   // Accuracy parameter for the primal-dual solvers (bounded, bkv) and for
   // the claim36 certifying run, which uses the identical configuration.

@@ -13,10 +13,6 @@
 #include "tufp/util/rng.hpp"
 #include "tufp/workload/scenarios.hpp"
 
-#if defined(TUFP_HAVE_OPENMP)
-#include <omp.h>
-#endif
-
 namespace tufp::lab {
 
 namespace {
@@ -191,15 +187,9 @@ SweepResult run_beta_sweep(const SweepConfig& config) {
   // the merged result is schedule-invariant (the golden determinism check
   // compares --threads 1 vs 4 byte-for-byte).
   std::vector<std::vector<SweepCell>> slots(tasks.size());
-#if defined(TUFP_HAVE_OPENMP)
-  const int threads = effective_num_threads(config.num_threads);
-#pragma omp parallel for schedule(dynamic) num_threads(threads)
-#endif
-  for (std::int64_t t = 0; t < static_cast<std::int64_t>(tasks.size()); ++t) {
-    slots[static_cast<std::size_t>(t)] =
-        run_task(tasks[static_cast<std::size_t>(t)], config, providers,
-                 solvers);
-  }
+  parallel_for(tasks.size(), config.num_threads, [&](std::size_t t, int) {
+    slots[t] = run_task(tasks[t], config, providers, solvers);
+  });
 
   SweepResult result;
   result.seed = config.seed;

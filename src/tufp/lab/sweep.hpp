@@ -17,7 +17,7 @@
 // <= the certified one.
 //
 // Determinism: each cell is a pure function of (run seed, family, world
-// index, beta, solver); cells fan out across OpenMP threads into
+// index, beta, solver); cells fan out over parallel_for into
 // preallocated slots and are emitted in fixed task order, so JSON/CSV
 // artifacts are byte-identical for any --threads value.
 #pragma once
@@ -39,7 +39,7 @@ struct SweepConfig {
   std::vector<std::string> solvers;        // empty = whole catalogue
   std::vector<double> betas = {1.0, 2.0, 4.0, 8.0, 16.0, 32.0};
   int worlds_per_family = 3;
-  int num_threads = 0;  // 0 = runtime default; OpenMP across cells
+  int num_threads = 0;  // across cells; 0 = hardware_concurrency()
   // solve.epsilon doubles as the certifying epsilon: bounds are computed
   // under exactly the config the bounded/bkv solvers run, so one
   // Bounded-UFP run per cell both certifies and answers `bounded`.

@@ -93,7 +93,7 @@ BoundedUfpConfig certifying_solver_config(double epsilon) {
   config.epsilon = epsilon;
   config.capacity_guard = true;
   config.run_to_saturation = true;
-  config.parallel = false;
+  config.num_threads = 1;
   return config;
 }
 

@@ -21,7 +21,7 @@
 //
 // The span hook is a thread-local profiler pointer: TUFP_SPAN is a no-op
 // (one TLS load) on threads with no profiler installed, which is exactly
-// what makes it safe to leave in code reachable from OpenMP worker
+// what makes it safe to leave in code reachable from pool worker
 // threads — only the serial driver thread installs a profiler, so the
 // parallel region never touches shared span state.
 #pragma once
@@ -173,7 +173,7 @@ class SpanProfiler {
 
 // Installs `profiler` as the calling thread's active span profiler and
 // returns the previous one (null to uninstall). TUFP_SPAN consults this
-// thread-local: threads that never install — OpenMP workers — pay one
+// thread-local: threads that never install — pool workers — pay one
 // TLS load per span site and nothing else.
 SpanProfiler* install_span_profiler(SpanProfiler* profiler);
 SpanProfiler* current_span_profiler();

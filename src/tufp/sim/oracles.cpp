@@ -1006,7 +1006,7 @@ SimPricing sim_price(const UfpInstance& instance,
                          0.0)};
   if (instance.num_requests() <= options.critical_cap) {
     BoundedUfpConfig probe = cfg;
-    probe.parallel = false;
+    probe.num_threads = 1;
     probe.record_trace = false;
     const UfpRule rule = make_bounded_ufp_rule(probe);
     for (int r = 0; r < instance.num_requests(); ++r) {

@@ -7,7 +7,7 @@
 //                      the production EpochEngine and the naive
 //                      ReferenceEngine (sim/reference_engine.hpp), each
 //                      under heap and bucket shortest-path kernels at 1
-//                      and 4 OpenMP threads, on the plain (all-infinite)
+//                      and 4 solver threads, on the plain (all-infinite)
 //                      and the churn replay. Every digest must equal the
 //                      production heap-t1 digest of its replay, byte for
 //                      byte; reference legs compare only the fields the

@@ -24,7 +24,7 @@
 //
 // Single-threaded like the wheel: admissions and drains happen on the
 // epoch loop's thread, so ledger state is a pure function of the
-// admission history and byte-identical across OpenMP thread counts.
+// admission history and byte-identical across solver thread counts.
 #pragma once
 
 #include <cstdint>

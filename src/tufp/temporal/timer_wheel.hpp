@@ -22,7 +22,7 @@
 //
 // Single-threaded by design: the engine drains expiries at epoch
 // boundaries on the epoch loop's thread, so the wheel needs no locks and
-// its output is trivially byte-identical for any OpenMP thread count.
+// its output is trivially byte-identical for any solver thread count.
 #pragma once
 
 #include <cstdint>

@@ -248,8 +248,7 @@ BoundedUfpResult bounded_ufp(const UfpInstance& instance,
                "Bounded-UFP requires demands in (0,1]; call normalized() first");
   const detail::Substrate sub = detail::substrate_of(instance);
   validate_config(sub, config);
-  detail::SpCache cache(instance, config.parallel, config.num_threads,
-                        config.sp_kernel);
+  detail::SpCache cache(instance, config.num_threads, config.sp_kernel);
   return run_bounded_ufp(sub, config, cache, /*warm_start=*/false);
 }
 
@@ -268,8 +267,7 @@ std::vector<WithheldRound> bounded_ufp_withheld(const UfpInstance& instance,
   cfg.classify_rejections = false;
   cfg.export_duals = false;
   cfg.record_trace = false;
-  detail::SpCache cache(instance, cfg.parallel, cfg.num_threads,
-                        cfg.sp_kernel);
+  detail::SpCache cache(instance, cfg.num_threads, cfg.sp_kernel);
   std::vector<WithheldRound> rounds;
   run_bounded_ufp(sub, cfg, cache, /*warm_start=*/false, /*state=*/nullptr,
                   withheld, &rounds);
@@ -285,8 +283,8 @@ BoundedUfpResult bounded_ufp(const ResidualView& view,
   validate_config(sub, config);
   if (workspace != nullptr) {
     detail::SpCache& cache = detail::WorkspaceAccess::bind_cache(
-        *workspace, view.owner(), requests, config.parallel,
-        config.num_threads, config.sp_kernel);
+        *workspace, view.owner(), requests, config.num_threads,
+        config.sp_kernel);
     detail::EpochSolveState& st =
         detail::WorkspaceAccess::solve_state(*workspace);
     if (st.owner != &view.owner()) {
@@ -295,8 +293,8 @@ BoundedUfpResult bounded_ufp(const ResidualView& view,
     }
     return run_bounded_ufp(sub, config, cache, /*warm_start=*/true, &st);
   }
-  detail::SpCache cache(view.base(), requests, config.parallel,
-                        config.num_threads, config.sp_kernel);
+  detail::SpCache cache(view.base(), requests, config.num_threads,
+                        config.sp_kernel);
   return run_bounded_ufp(sub, config, cache, /*warm_start=*/false);
 }
 

@@ -53,10 +53,10 @@ struct BoundedUfpConfig {
   // Theorem 3.1 applies only to the faithful setting.
   bool run_to_saturation = false;
 
-  // OpenMP-parallel per-source shortest-path trees. Deterministic for
-  // any thread count.
-  bool parallel = true;
-  int num_threads = 0;  // 0: runtime default
+  // Threads for the per-source shortest-path trees (util/parallel.hpp):
+  // 1 = serial, 0 = std::thread::hardware_concurrency(). Deterministic
+  // for any thread count.
+  int num_threads = 0;
 
   // Shortest-path queue discipline. kAuto runs the monotone bucket queue
   // while the dual weights' key range allows it and falls back to the

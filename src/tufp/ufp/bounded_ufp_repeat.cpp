@@ -127,8 +127,7 @@ BoundedUfpRepeatResult bounded_ufp_repeat(const UfpInstance& instance,
   TUFP_REQUIRE(instance.is_normalized(),
                "Bounded-UFP-Repeat requires demands in (0,1]");
   const detail::Substrate sub = detail::substrate_of(instance);
-  detail::SpCache cache(instance, config.parallel, config.num_threads,
-                        config.sp_kernel);
+  detail::SpCache cache(instance, config.num_threads, config.sp_kernel);
   return run_repeat(sub, config, cache, /*warm_start=*/false);
 }
 
@@ -140,12 +139,12 @@ BoundedUfpRepeatResult bounded_ufp_repeat(const ResidualView& view,
   detail::validate_requests(sub);
   if (workspace != nullptr) {
     detail::SpCache& cache = detail::WorkspaceAccess::bind_cache(
-        *workspace, view.owner(), requests, config.parallel,
-        config.num_threads, config.sp_kernel);
+        *workspace, view.owner(), requests, config.num_threads,
+        config.sp_kernel);
     return run_repeat(sub, config, cache, /*warm_start=*/true);
   }
-  detail::SpCache cache(view.base(), requests, config.parallel,
-                        config.num_threads, config.sp_kernel);
+  detail::SpCache cache(view.base(), requests, config.num_threads,
+                        config.sp_kernel);
   return run_repeat(sub, config, cache, /*warm_start=*/false);
 }
 

@@ -22,8 +22,7 @@ struct BoundedUfpRepeatConfig {
   double epsilon = 1.0 / 6.0;
   bool capacity_guard = true;   // same semantics as BoundedUfpConfig
   bool lazy_shortest_paths = true;
-  bool parallel = true;
-  int num_threads = 0;
+  int num_threads = 0;  // same semantics as BoundedUfpConfig
   SpKernel sp_kernel = SpKernel::kAuto;  // same semantics as BoundedUfpConfig
   bool record_trace = false;
   // Hard stop on iteration count (defense against tiny d_min blowing up

@@ -37,10 +37,11 @@
 // Recomputation is sharded by source vertex: requests sharing a source
 // are answered from one Dijkstra tree (ShortestPathEngine::shortest_tree)
 // instead of one search per request. Shards are embarrassingly parallel
-// across OpenMP threads — each thread drives its own engine and writes
-// only the entries of its own sources — and every tree is canonical
-// (dijkstra.hpp), so entries are bitwise identical for any thread count
-// and any shard schedule; consumers then read them in arrival order.
+// across parallel_for slots (util/parallel.hpp) — each slot drives its
+// own engine and writes only the entries of its own sources — and every
+// tree is canonical (dijkstra.hpp), so entries are bitwise identical for
+// any thread count and any shard schedule; consumers then read them in
+// arrival order.
 //
 // The cache is built for reuse across epochs (ufp/workspace.hpp): it is
 // bound to a graph once and rebind()s to each epoch's request batch,
@@ -74,10 +75,7 @@
 #include "tufp/util/arena.hpp"
 #include "tufp/util/assert.hpp"
 #include "tufp/util/math.hpp"
-
-#if defined(TUFP_HAVE_OPENMP)
-#include <omp.h>
-#endif
+#include "tufp/util/parallel.hpp"
 
 namespace tufp::detail {
 
@@ -118,13 +116,11 @@ class SpCache {
   // Binds to a graph for the cache's lifetime and to an initial request
   // batch (rebind() repoints later). The request span must stay alive
   // through every refresh()/entry() call until the next rebind.
+  // num_threads as for effective_num_threads (1 = serial).
   SpCache(const Graph& graph, std::span<const Request> requests,
-          bool parallel, int num_threads, SpKernel kernel = SpKernel::kAuto)
-      : graph_(&graph), parallel_(parallel), num_threads_(num_threads) {
-    int pool = 1;
-#if defined(TUFP_HAVE_OPENMP)
-    if (parallel_) pool = num_threads_ > 0 ? num_threads_ : omp_get_max_threads();
-#endif
+          int num_threads, SpKernel kernel = SpKernel::kAuto)
+      : graph_(&graph) {
+    const int pool = effective_num_threads(num_threads);
     engines_.reserve(static_cast<std::size_t>(pool));
     for (int i = 0; i < pool; ++i) {
       engines_.push_back(std::make_unique<ShortestPathEngine>(graph, kernel));
@@ -134,10 +130,9 @@ class SpCache {
     rebind(requests);
   }
 
-  SpCache(const UfpInstance& instance, bool parallel, int num_threads,
+  SpCache(const UfpInstance& instance, int num_threads,
           SpKernel kernel = SpKernel::kAuto)
-      : SpCache(instance.graph(), instance.requests(), parallel, num_threads,
-                kernel) {}
+      : SpCache(instance.graph(), instance.requests(), num_threads, kernel) {}
 
   // Points the cache at a new request batch. Per-entry state always
   // resets (computation stamps and fit verdicts are epoch-local; the
@@ -238,7 +233,7 @@ class SpCache {
     miss_groups_.clear();
     if (warm) {
       // Serial point for the tree cache's generation-reset eviction:
-      // store() itself never evicts (it runs on the OpenMP workers), so
+      // store() itself never evicts (it runs on the pool workers), so
       // the limits are enforced here, where the tree set is a
       // deterministic function of the epochs so far — identical for
       // every thread count.
@@ -261,12 +256,12 @@ class SpCache {
     }
     const std::int64_t warm_clock = warm ? warm_graph_->clock() : 0;
 
-    const auto work = [&](std::size_t idx, int engine_id) {
+    const auto work = [&](std::size_t idx, int slot) {
       const Group& g = groups_[static_cast<std::size_t>(miss_groups_[idx])];
-      // Per-engine (= per-thread) scratch keeps the steady-state refresh
-      // loop allocation-free.
+      // Per-slot scratch keeps the steady-state refresh loop
+      // allocation-free.
       std::vector<ShortestPathEngine::TreeTarget>& targets =
-          scratch_targets_[static_cast<std::size_t>(engine_id)];
+          scratch_targets_[static_cast<std::size_t>(slot)];
       targets.clear();
       targets.resize(g.stale.size());
       for (std::size_t i = 0; i < g.stale.size(); ++i) {
@@ -274,8 +269,7 @@ class SpCache {
         targets[i].vertex = requests_[static_cast<std::size_t>(r)].target;
         targets[i].path = &entries_[static_cast<std::size_t>(r)].path;
       }
-      ShortestPathEngine& engine =
-          *engines_[static_cast<std::size_t>(engine_id)];
+      ShortestPathEngine& engine = *engines_[static_cast<std::size_t>(slot)];
       engine.shortest_tree(y, g.source, targets, blocked, profile);
       if (warm) {
         // Store order across shards is thread-schedule dependent, but
@@ -302,19 +296,7 @@ class SpCache {
       }
     };
 
-#if defined(TUFP_HAVE_OPENMP)
-    if (parallel_ && miss_groups_.size() > 1) {
-      const int pool = static_cast<int>(engines_.size());
-#pragma omp parallel for schedule(dynamic, 1) num_threads(pool)
-      for (std::size_t i = 0; i < miss_groups_.size(); ++i) {
-        work(i, omp_get_thread_num());
-      }
-    } else {
-      for (std::size_t i = 0; i < miss_groups_.size(); ++i) work(i, 0);
-    }
-#else
-    for (std::size_t i = 0; i < miss_groups_.size(); ++i) work(i, 0);
-#endif
+    parallel_for(miss_groups_.size(), static_cast<int>(engines_.size()), work);
     if (warm) {
       for (auto& engine : engines_) engine->set_record_settled(false);
     }
@@ -469,8 +451,6 @@ class SpCache {
   std::int64_t warm_entries_served_ = 0;
   const ResidualGraph* warm_graph_ = nullptr;
   SourceTreeCache* warm_trees_ = nullptr;
-  bool parallel_;
-  int num_threads_;
 };
 
 }  // namespace tufp::detail

@@ -53,7 +53,6 @@ struct UfpWorkspace::Impl {
   // Construction parameters the cached SpCache was built with; a solve
   // with a different configuration rebuilds it.
   const Graph* graph = nullptr;
-  bool parallel = false;
   int num_threads = 0;
   SpKernel kernel = SpKernel::kAuto;
 
@@ -72,27 +71,25 @@ class WorkspaceAccess {
   static UfpWorkspace::Impl& impl(UfpWorkspace& ws) { return *ws.impl_; }
 
   // The workspace's SpCache bound to (graph, requests) under the given
-  // parallelism/kernel configuration: rebinds the existing cache when
+  // thread-count/kernel configuration: rebinds the existing cache when
   // compatible, rebuilds it otherwise. The returned cache has its warm
   // context attached to the workspace's tree cache.
   static SpCache& bind_cache(UfpWorkspace& ws, const ResidualGraph& rgraph,
-                             std::span<const Request> requests, bool parallel,
+                             std::span<const Request> requests,
                              int num_threads, SpKernel kernel) {
     UfpWorkspace::Impl& state = *ws.impl_;
     const Graph* graph = &rgraph.base();
     if (state.cache == nullptr || state.graph != graph ||
-        state.parallel != parallel || state.num_threads != num_threads ||
-        state.kernel != kernel) {
+        state.num_threads != num_threads || state.kernel != kernel) {
       if (state.cache != nullptr) {
         state.retired_warm_trees += state.cache->warm_trees_served();
         state.retired_warm_entries += state.cache->warm_entries_served();
         state.retired_plan_builds += state.cache->plan_builds();
         state.retired_plan_reuses += state.cache->plan_reuses();
       }
-      state.cache = std::make_unique<SpCache>(*graph, requests, parallel,
-                                              num_threads, kernel);
+      state.cache =
+          std::make_unique<SpCache>(*graph, requests, num_threads, kernel);
       state.graph = graph;
-      state.parallel = parallel;
       state.num_threads = num_threads;
       state.kernel = kernel;
     } else {

@@ -205,10 +205,10 @@ TEST(BoundedUfp, ParallelAndSerialAgree) {
   const UfpInstance inst = ample_instance(7, 30, 4.0);
   BoundedUfpConfig serial;
   serial.run_to_saturation = true;  // B=4 sits below the faithful threshold
-  serial.parallel = false;
+  serial.num_threads = 1;
   serial.record_trace = true;
   BoundedUfpConfig parallel = serial;
-  parallel.parallel = true;
+  parallel.num_threads = 4;
   const auto a = bounded_ufp(inst, serial);
   const auto b = bounded_ufp(inst, parallel);
   ASSERT_GT(a.iterations, 0);

@@ -238,13 +238,13 @@ void expect_fast_equals_generic(const UfpInstance& inst,
   }
 }
 
-// The multi-instance cases solve serially, as the engine prices: a thread
-// pool per probe solve would only add OpenMP start-up to thousands of tiny
-// solves.
+// The multi-instance cases solve serially, as the engine prices: a
+// threaded probe solve would only add per-slot engines and pool hand-offs
+// to thousands of tiny solves.
 TEST(CriticalPaymentFast, EqualsGenericBisectionUnderSaturation) {
   BoundedUfpConfig cfg;
   cfg.run_to_saturation = true;
-  cfg.parallel = false;
+  cfg.num_threads = 1;
   WithheldCoverage coverage;
   for (std::uint64_t seed = 240; seed < 248; ++seed) {
     expect_fast_equals_generic(competitive_instance(seed, 12), cfg,
@@ -261,7 +261,7 @@ TEST(CriticalPaymentFast, EqualsGenericBisectionUnderFaithfulThreshold) {
   // with requests still fitting.
   BoundedUfpConfig cfg;
   cfg.epsilon = 1.0;
-  cfg.parallel = false;
+  cfg.num_threads = 1;
   WithheldCoverage coverage;
   int threshold_stops = 0;
   for (std::uint64_t seed = 250; seed < 253; ++seed) {

@@ -20,7 +20,6 @@
 #include "tufp/sim/world_gen.hpp"
 #include "tufp/util/json.hpp"
 #include "tufp/util/math.hpp"
-#include "tufp/util/parallel.hpp"
 
 namespace tufp {
 namespace {
@@ -154,14 +153,13 @@ std::string run_world_histogram_json(int num_threads) {
 
 TEST(HistogramJson, ByteIdenticalAcrossThreadCounts) {
   // The satellite pin: GeometricHistogram::to_json() feeds the det
-  // channel, so its serialization must be byte-identical for any OpenMP
+  // channel, so its serialization must be byte-identical for any solver
   // thread count — bucket membership is a pure function of the recorded
   // (deterministic) delays, and the formatter is canonical.
   const std::string t1 = run_world_histogram_json(1);
   EXPECT_FALSE(t1.empty());
   EXPECT_NE(t1.find("\"count\":"), std::string::npos);
   EXPECT_NE(t1.find("\"buckets\":"), std::string::npos);
-  if (!openmp_available()) GTEST_SKIP() << "no OpenMP in this build";
   const std::string t4 = run_world_histogram_json(4);
   EXPECT_EQ(t1, t4);
 }
@@ -290,7 +288,6 @@ TEST(Telemetry, DetStreamByteIdenticalAcrossThreadCounts) {
   const std::string t1 = run_world_telemetry(1);
   EXPECT_NE(t1.find("\"event\":\"epoch\""), std::string::npos);
   EXPECT_NE(t1.find("\"event\":\"summary\""), std::string::npos);
-  if (!openmp_available()) GTEST_SKIP() << "no OpenMP in this build";
   EXPECT_EQ(t1, run_world_telemetry(4));
 }
 

@@ -202,7 +202,7 @@ TEST(SourceTreeCache, StoreLookupAndGenerationEviction) {
   const std::int64_t generation_before = cache.generation();
 
   // ...and a third store exceeds it WITHOUT evicting: store() runs on
-  // the OpenMP refresh workers, where an eviction would make the
+  // the refresh's pool workers, where an eviction would make the
   // surviving tree set thread-schedule dependent. The limits are soft
   // until the serial enforce_limits() point. (Vertex 2 has no outgoing
   // edges, so this tree records only its source — unreachable targets

@@ -166,6 +166,87 @@ TEST(SimOracles, ConfigDiffNamesTheFirstDifferingField) {
   EXPECT_EQ(digest_diff(want, got), "");
 }
 
+// A one-request-per-epoch churn world over a hand-built directed graph:
+// request i arrives at time i and holds its lease for durations[i].
+SimWorld churn_world(Graph graph, std::vector<Request> requests,
+                     std::vector<double> durations) {
+  BoundedUfpConfig solver;
+  solver.run_to_saturation = true;  // B = 1: the faithful loop stops at once
+  const std::size_t n = requests.size();
+  SimWorld world =
+      wrap_instance(UfpInstance(std::move(graph), std::move(requests)),
+                    solver, /*max_batch=*/1);
+  for (std::size_t i = 0; i < n; ++i) {
+    world.arrivals[i] = static_cast<double>(i);
+  }
+  world.durations = std::move(durations);
+  world.duration_profile = DurationProfile::kExponential;
+  return world;
+}
+
+std::vector<Violation> config_diff(const SimWorld& world) {
+  const std::vector<std::string> only{"config-diff"};
+  return run_oracle_suite(world, OracleOptions{}, only);
+}
+
+// Epoch 0 leases the bottleneck edge, epoch 1 admits nothing, epoch 2
+// reclaims the lease and readmits over that edge. With no admission
+// between the two epoch opens, only the reclaim's stamp tells the
+// residual graph that its blocked mask went stale; config-diff must
+// catch a reclaim that returns capacity without stamping its edges.
+TEST(SimOracles, ConfigDiffCatchesAnUnstampedReclaim) {
+  Graph g = Graph::directed(2);
+  g.add_edge(0, 1, 1.0);  // e0: one unit, blocked while leased
+  g.finalize();
+  const SimWorld world = churn_world(
+      std::move(g), {{0, 1, 1.0, 1.0}, {0, 1, 1.0, 1.0}, {0, 1, 1.0, 1.0}},
+      {1.5, 10.0, 10.0});
+  ReplayOptions churn;
+  churn.churn = true;
+  const RunDigest digest = replay_world(world, churn);
+  ASSERT_EQ(digest.epochs.size(), 3u);
+  EXPECT_EQ(digest.epochs[0].report.admitted, 1);
+  EXPECT_EQ(digest.epochs[1].report.admitted, 0);
+  EXPECT_EQ(digest.epochs[2].report.expired_leases, 1);
+  EXPECT_EQ(digest.epochs[2].report.admitted, 1);
+  for (const Violation& v : config_diff(world)) ADD_FAILURE() << v.detail;
+}
+
+// Source 0 reaches vertex 3 over A = e0 e1 (length 0.729 under the
+// epoch-start duals y = 1/c) or B = e2 e3 e4 (0.75). Epoch 0 leases e0
+// (blocking A); epoch 1's search toward vertex 5 stores a warm tree that
+// routes 3 over B; epoch 2 reclaims e0 and asks for 3. The stored route
+// is no longer shortest, so config-diff must catch a reclaim
+// revalidation that keeps the tree.
+TEST(SimOracles, ConfigDiffCatchesAWarmTreeAReclaimMadeStale) {
+  Graph g = Graph::directed(6);
+  g.add_edge(0, 1, 1.5);   // e0: A's bottleneck, blocked while leased
+  g.add_edge(1, 3, 16.0);  // e1
+  g.add_edge(0, 2, 4.0);   // e2
+  g.add_edge(2, 4, 4.0);   // e3
+  g.add_edge(4, 3, 4.0);   // e4
+  g.add_edge(0, 5, 1.0);   // e5: far enough that its search settles 3
+  g.finalize();
+  const SimWorld world = churn_world(
+      std::move(g), {{0, 1, 1.0, 1.0}, {0, 5, 1.0, 1.0}, {0, 3, 1.0, 1.0}},
+      {1.5, 10.0, 10.0});
+  ReplayOptions churn;
+  churn.churn = true;
+  churn.decisions = true;
+  const RunDigest digest = replay_world(world, churn);
+  ASSERT_EQ(digest.epochs.size(), 3u);
+  EXPECT_EQ(digest.epochs[2].report.expired_leases, 1);
+  const auto readmit = std::find_if(
+      digest.decisions.begin(), digest.decisions.end(),
+      [](const obs::DecisionRecord& r) {
+        return r.sequence == 2 && r.outcome == obs::DecisionOutcome::kAdmitted;
+      });
+  ASSERT_NE(readmit, digest.decisions.end());
+  EXPECT_EQ(readmit->path, (std::vector<std::int64_t>{0, 1}));
+  EXPECT_GT(digest.trees_dropped_on_reclaim, 0);
+  for (const Violation& v : config_diff(world)) ADD_FAILURE() << v.detail;
+}
+
 TEST(SimOracles, FaultNamesRoundTrip) {
   for (FaultInjection f :
        {FaultInjection::kNone, FaultInjection::kOverchargeWinners,

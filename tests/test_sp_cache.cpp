@@ -29,7 +29,7 @@ UfpInstance diamond_instance() {
 
 TEST(SpCache, ComputesShortestPathsOnFirstRefresh) {
   const UfpInstance inst = diamond_instance();
-  detail::SpCache cache(inst, /*parallel=*/false, 0);
+  detail::SpCache cache(inst, /*num_threads=*/1);
   std::vector<double> y{1.0, 1.0, 2.0, 2.0};
   const std::vector<std::int64_t> stamps(4, 0);
   const std::vector<int> active{0, 1, 2};
@@ -42,7 +42,7 @@ TEST(SpCache, ComputesShortestPathsOnFirstRefresh) {
 
 TEST(SpCache, UntouchedPathsAreNotRecomputed) {
   const UfpInstance inst = diamond_instance();
-  detail::SpCache cache(inst, false, 0);
+  detail::SpCache cache(inst, 1);
   std::vector<double> y{1.0, 1.0, 2.0, 2.0};
   std::vector<std::int64_t> stamps(4, 0);
   const std::vector<int> active{0, 1};
@@ -67,7 +67,7 @@ TEST(SpCache, UntouchedPathsAreNotRecomputed) {
 
 TEST(SpCache, UnreachableIsCachedForever) {
   const UfpInstance inst = diamond_instance();
-  detail::SpCache cache(inst, false, 0);
+  detail::SpCache cache(inst, 1);
   std::vector<double> y{1.0, 1.0, 1.0, 1.0};
   std::vector<std::int64_t> stamps(4, 0);
   const std::vector<int> active{2};
@@ -82,7 +82,7 @@ TEST(SpCache, UnreachableIsCachedForever) {
 
 TEST(SpCache, EagerModeAlwaysRecomputes) {
   const UfpInstance inst = diamond_instance();
-  detail::SpCache cache(inst, false, 0);
+  detail::SpCache cache(inst, 1);
   const std::vector<double> y{1.0, 1.0, 2.0, 2.0};
   const std::vector<std::int64_t> stamps(4, 0);
   const std::vector<int> active{0, 1};
@@ -105,8 +105,8 @@ TEST(SpCache, ParallelAndSerialProduceIdenticalEntries) {
   std::vector<int> active(static_cast<std::size_t>(inst.num_requests()));
   for (int r = 0; r < inst.num_requests(); ++r) active[static_cast<std::size_t>(r)] = r;
 
-  detail::SpCache serial(inst, false, 0);
-  detail::SpCache parallel(inst, true, 0);
+  detail::SpCache serial(inst, /*num_threads=*/1);
+  detail::SpCache parallel(inst, /*num_threads=*/4);
   serial.refresh(y, stamps, 1, active, true);
   parallel.refresh(y, stamps, 1, active, true);
   for (int r = 0; r < inst.num_requests(); ++r) {
@@ -117,7 +117,7 @@ TEST(SpCache, ParallelAndSerialProduceIdenticalEntries) {
 
 TEST(SpCache, FitStatusTracksCapacityGuardCrossings) {
   const UfpInstance inst = diamond_instance();
-  detail::SpCache cache(inst, false, 0);
+  detail::SpCache cache(inst, 1);
   std::vector<double> y{1.0, 1.0, 2.0, 2.0};
   std::vector<std::int64_t> stamps(4, 0);
   std::vector<double> residual{5.0, 5.0, 5.0, 5.0};
@@ -150,7 +150,7 @@ TEST(SpCache, FitStatusIsPerRequestDemand) {
   g.add_edge(0, 1, 5.0);
   g.finalize();
   const UfpInstance inst(std::move(g), {{0, 1, 1.0, 1.0}, {0, 1, 0.25, 1.0}});
-  detail::SpCache cache(inst, false, 0);
+  detail::SpCache cache(inst, 1);
   const std::vector<double> y{1.0};
   std::vector<std::int64_t> stamps{0};
   std::vector<double> residual{0.5};
@@ -169,7 +169,7 @@ TEST(SpCache, ReclaimedCapacityNeedsAStampToUnstickNegativeFits) {
   // reclaim path must stamp every edge whose residual it increases, which
   // is exactly what flips the verdict back.
   const UfpInstance inst = diamond_instance();
-  detail::SpCache cache(inst, false, 0);
+  detail::SpCache cache(inst, 1);
   std::vector<double> y{1.0, 1.0, 2.0, 2.0};
   std::vector<std::int64_t> stamps(4, 0);
   std::vector<double> residual{5.0, 5.0, 5.0, 5.0};
@@ -199,7 +199,7 @@ TEST(SpCache, ReclaimedCapacityNeedsAStampToUnstickNegativeFits) {
 
 TEST(SpCache, WithoutResidualEveryEntryFits) {
   const UfpInstance inst = diamond_instance();
-  detail::SpCache cache(inst, false, 0);
+  detail::SpCache cache(inst, 1);
   const std::vector<double> y{1.0, 1.0, 2.0, 2.0};
   const std::vector<std::int64_t> stamps(4, 0);
   cache.refresh(y, stamps, 1, std::vector<int>{0, 1}, true);
@@ -211,7 +211,7 @@ TEST(SpCache, SharedSourcesRefreshFromOneTree) {
   // Requests 0 and 1 share source 0: one Dijkstra tree serves both, so
   // two recomputed entries cost one tree run.
   const UfpInstance inst = diamond_instance();
-  detail::SpCache cache(inst, false, 0);
+  detail::SpCache cache(inst, 1);
   const std::vector<double> y{1.0, 1.0, 2.0, 2.0};
   const std::vector<std::int64_t> stamps(4, 0);
   cache.refresh(y, stamps, 1, std::vector<int>{0, 1, 2}, true);
@@ -227,7 +227,7 @@ TEST(SpCache, RebindReusesSourcePlanAcrossEpochs) {
   // match the previous batch position-for-position, and rebuilt whenever
   // they do not.
   const UfpInstance inst = diamond_instance();
-  detail::SpCache cache(inst.graph(), inst.requests(), /*parallel=*/false, 0);
+  detail::SpCache cache(inst.graph(), inst.requests(), /*num_threads=*/1);
   EXPECT_EQ(cache.plan_builds(), 1);
   EXPECT_EQ(cache.plan_reuses(), 0);
 
@@ -259,7 +259,7 @@ TEST(SpCache, RebindResetsEntriesEvenWhenThePlanIsReused) {
   // mask they were judged under changes between epochs); a reused plan
   // must never carry a reused entry with it.
   const UfpInstance inst = diamond_instance();
-  detail::SpCache cache(inst.graph(), inst.requests(), false, 0);
+  detail::SpCache cache(inst.graph(), inst.requests(), 1);
   const std::vector<double> y{1.0, 1.0, 2.0, 2.0};
   const std::vector<std::int64_t> stamps(4, 0);
   cache.refresh(y, stamps, 1, std::vector<int>{0, 1}, true);
@@ -288,7 +288,7 @@ TEST(SpCache, WarmTreesServeEpochStartRefreshesBitwiseIdentically) {
 
   ResidualGraph rgraph(base, 1.0);
   SourceTreeCache trees;
-  detail::SpCache warm_cache(*base, reqs, false, 0);
+  detail::SpCache warm_cache(*base, reqs, 1);
   warm_cache.set_warm_context(&rgraph, &trees);
 
   const std::vector<double> y{1.0, 1.0, 2.0, 2.0};
@@ -314,7 +314,7 @@ TEST(SpCache, WarmTreesServeEpochStartRefreshesBitwiseIdentically) {
   // Counter parity: the warm-served shard still accounts as a tree run.
   EXPECT_EQ(warm_cache.tree_runs_last_refresh(), 1);
 
-  detail::SpCache cold_cache(*base, reqs, false, 0);
+  detail::SpCache cold_cache(*base, reqs, 1);
   cold_cache.refresh(y, rgraph.stamps(), 1, std::vector<int>{0, 1}, true,
                      rgraph.residual(), &profile, rgraph.blocked(), true);
   for (int r = 0; r < 2; ++r) {
@@ -349,7 +349,7 @@ TEST(SpCache, WarmTreesSurviveReclaimsThatMissTheirSettledSet) {
 
   ResidualGraph rgraph(base, 1.0);
   SourceTreeCache trees;
-  detail::SpCache warm_cache(*base, reqs, false, 0);
+  detail::SpCache warm_cache(*base, reqs, 1);
   warm_cache.set_warm_context(&rgraph, &trees);
 
   const std::vector<double> y{1.0, 1.0};
@@ -385,7 +385,7 @@ TEST(SpCache, WarmTreesSurviveReclaimsThatMissTheirSettledSet) {
   EXPECT_EQ(warm_cache.warm_entries_served(), 1);
   EXPECT_EQ(trees.num_trees(), 2u);
 
-  detail::SpCache cold_cache(*base, reqs, false, 0);
+  detail::SpCache cold_cache(*base, reqs, 1);
   cold_cache.refresh(y, rgraph.stamps(), 1, std::vector<int>{0, 1}, true,
                      rgraph.residual(), &profile, rgraph.blocked(), true);
   for (int req = 0; req < 2; ++req) {
@@ -409,7 +409,7 @@ TEST(SpCache, FirstGroupMissKeepsCounterParityWithAlwaysFresh) {
 
   ResidualGraph rgraph(base, 1.0);
   SourceTreeCache trees;
-  detail::SpCache warm_cache(*base, reqs, false, 0);
+  detail::SpCache warm_cache(*base, reqs, 1);
   warm_cache.set_warm_context(&rgraph, &trees);
 
   const std::vector<double> y{1.0, 1.0};
@@ -435,7 +435,7 @@ TEST(SpCache, FirstGroupMissKeepsCounterParityWithAlwaysFresh) {
                      rgraph.residual(), &profile, rgraph.blocked(), true);
   EXPECT_EQ(warm_cache.warm_trees_last_refresh(), 1);
 
-  detail::SpCache cold_cache(*base, reqs, false, 0);
+  detail::SpCache cold_cache(*base, reqs, 1);
   cold_cache.refresh(y, rgraph.stamps(), 1, std::vector<int>{0, 1}, true,
                      rgraph.residual(), &profile, rgraph.blocked(), true);
   // Counter parity despite the mixed warm/fresh epoch.

@@ -10,7 +10,6 @@
 #include <vector>
 
 #include "tufp/graph/dijkstra.hpp"
-#include "tufp/util/parallel.hpp"
 
 namespace tufp::cli {
 
@@ -37,19 +36,6 @@ inline SpKernel parse_sp_kernel(const std::string& tool,
   std::cerr << tool << ": unknown --sp-kernel '" << name
             << "' (expected auto|heap|bucket)\n";
   std::exit(2);
-}
-
-// The shared --threads contract: an explicit positive thread count in a
-// build without OpenMP is refused (deterministic output would be
-// identical either way, but wall-clock numbers would not mean what the
-// caller asked for). Identical message and exit code in every tool.
-inline void require_threads_supported(const std::string& tool, int threads) {
-  if (threads > 0 && !openmp_available()) {
-    std::cerr << tool << ": --threads " << threads
-              << " requires an OpenMP build (rebuild with an OpenMP-capable "
-                 "toolchain, or drop --threads)\n";
-    std::exit(2);
-  }
 }
 
 }  // namespace tufp::cli

@@ -23,10 +23,8 @@
 //                            (default 0 = count-based)
 //   --queue N                bounded queue capacity    (default 65536)
 //   --payments none|dual|critical                      (default dual)
-//   --threads N              solver OpenMP threads     (default runtime)
-//                            N > 0 is an error in builds without OpenMP:
-//                            the engine will not silently serialize an
-//                            explicit thread request
+//   --threads N              solver threads; 1 = serial (default 0 =
+//                            std::thread::hardware_concurrency())
 //   --eps X                  solver accuracy parameter (default 1/6)
 //   --sp-kernel auto|heap|bucket  shortest-path queue  (default auto)
 // Leases (DESIGN.md §10):
@@ -78,7 +76,6 @@
 #include "tufp/obs/telemetry.hpp"
 #include "tufp/obs/trace.hpp"
 #include "tufp/util/json.hpp"
-#include "tufp/util/parallel.hpp"
 #include "tufp/util/rng.hpp"
 #include "tufp/util/table.hpp"
 #include "tufp/workload/scenarios.hpp"
@@ -254,7 +251,6 @@ void write_json(const std::string& path, const Options& opt,
 
 int main(int argc, char** argv) {
   const Options opt = parse(argc, argv);
-  cli::require_threads_supported("tufp_engine", opt.threads);
   try {
     if (opt.scenario != "grid" && opt.scenario != "random") usage();
     const ValueModel value_model = parse_value_model(opt.value_model);

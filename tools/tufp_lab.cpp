@@ -19,7 +19,7 @@
 //   --betas b1,b2,...   beta grid, each >= 1 (default 1,2,4,8,16,32)
 //   --worlds N          worlds per family (default 3)
 //   --eps X             primal-dual accuracy parameter (default 1/6)
-//   --threads N         OpenMP threads across cells (errors without OpenMP)
+//   --threads N         threads across cells (default 0 = all cores)
 //   --sp-kernel auto|heap|bucket  shortest-path queue for the primal-dual
 //                       members (results identical, wall clock only)
 //   --json PATH         write the full cell/summary artifact ('-' = stdout)
@@ -40,7 +40,6 @@
 #include "tufp/lab/sweep.hpp"
 #include "tufp/lab/upper_bound.hpp"
 #include "tufp/sim/world_gen.hpp"
-#include "tufp/util/parallel.hpp"
 #include "tufp/util/table.hpp"
 
 namespace {
@@ -98,8 +97,6 @@ Options parse(int argc, char** argv) {
       opt.config.solve.epsilon = std::stod(value(i));
     } else if (a == "--threads") {
       opt.config.num_threads = std::stoi(value(i));
-      tufp::cli::require_threads_supported("tufp_lab",
-                                           opt.config.num_threads);
     } else if (a == "--sp-kernel") {
       opt.config.solve.sp_kernel =
           tufp::cli::parse_sp_kernel("tufp_lab", value(i));

@@ -107,7 +107,6 @@
 #include "tufp/sim/world_gen.hpp"
 #include "tufp/util/json.hpp"
 #include "tufp/util/math.hpp"
-#include "tufp/util/parallel.hpp"
 #include "tufp/util/rng.hpp"
 #include "tufp/util/timer.hpp"
 #include "tufp/workload/scenarios.hpp"
@@ -673,7 +672,6 @@ class ServeSession {
 
 int main(int argc, char** argv) {
   const Options opt = parse(argc, argv);
-  cli::require_threads_supported("tufp_serve", opt.threads);
   try {
     // Topology + (for --workload) the synthesized session script.
     std::shared_ptr<const Graph> graph;
