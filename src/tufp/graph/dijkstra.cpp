@@ -67,11 +67,13 @@ bool ShortestPathEngine::relax(VertexId u, double du, const Arc& arc,
     parent_edge_[to] = arc.edge;
     return true;
   }
-  if (cand == dv && cand < kInf && w > 0.0) {
+  if (cand == dv && cand < kInf && cand > du) {
     // Canonical tie-break: the lexicographically smallest (u, e) among
-    // positive-weight shortest predecessors wins, independent of the
-    // order relaxations arrive in. Positive weight keeps the parent
-    // forest acyclic (a tie cycle would need total weight zero).
+    // shortest predecessors strictly closer than v wins, independent of
+    // the order relaxations arrive in. Requiring cand > du, not w > 0,
+    // keeps the parent forest acyclic: a positive weight can be absorbed
+    // (du + w == du in floating point), and two equal-distance vertices
+    // would then adopt each other as parents.
     if (u < parent_vertex_[to] ||
         (u == parent_vertex_[to] && arc.edge < parent_edge_[to])) {
       parent_vertex_[to] = u;

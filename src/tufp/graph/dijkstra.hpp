@@ -23,10 +23,12 @@
 //      target pop, which would make the relaxation set depend on the
 //      queue's tie order);
 //   2. the parent of v is the lexicographically smallest (u, e) among
-//      positive-weight shortest predecessors (dist(u) + w_e == dist(v)).
-//      Relaxation order cannot matter: min is commutative. Positive
-//      weight keeps the parent forest acyclic; with zero weights present
-//      only the heap kernel runs and falls back to first-discovery order.
+//      shortest predecessors strictly closer than v (dist(u) + w_e ==
+//      dist(v) > dist(u)). Relaxation order cannot matter: min is
+//      commutative. Strictly closer keeps the parent forest acyclic even
+//      when a tiny positive weight is absorbed in floating point
+//      (dist(u) + w_e == dist(u)); with zero weights present only the
+//      heap kernel runs and falls back to first-discovery order.
 // The reconstructed path is therefore the lexicographically minimal
 // shortest path read as a predecessor sequence from the target — the
 // deterministic tie-break the solvers and the sharded refresh rely on.
@@ -175,8 +177,9 @@ class ShortestPathEngine {
   bool touch(VertexId v);  // lazily reset labels for this query's epoch
 
   // Canonical relaxation (both kernels): strict improvement updates dist
-  // and parent; an exact tie updates the parent only when the edge weight
-  // is positive and (u, e) is lexicographically smaller. Returns whether
+  // and parent; an exact tie updates the parent only when u is strictly
+  // closer than the tie distance (du + w > du) and (u, e) is
+  // lexicographically smaller. Returns whether
   // the vertex needs (re-)queueing.
   bool relax(VertexId u, double du, const Arc& arc, double w);
 

@@ -248,6 +248,35 @@ TEST(KernelCrossCheck, BlockedEdgesRespectedByBothKernels) {
   }
 }
 
+// A positive weight below the rounding unit of the tie distance is
+// absorbed (1 + 1e-20 == 1). Vertices 0 and 1 both sit at distance 1
+// from source 2, so each one's arc to the other ties the other's
+// distance; accepting those ties would make 0 and 1 each other's parent
+// and path extraction would find a cycle. Both direct arcs must win.
+TEST(KernelCrossCheck, AbsorbedWeightTiesKeepTheParentForestAcyclic) {
+  Graph g = Graph::undirected(3);
+  g.add_edge(2, 0, 1.0);  // edge 0
+  g.add_edge(2, 1, 1.0);  // edge 1
+  g.add_edge(0, 1, 1.0);  // edge 2
+  g.finalize();
+  const std::vector<double> weights = {1.0, 1.0, 1e-20};
+  for (const SpKernel kernel : {SpKernel::kHeap, SpKernel::kAuto}) {
+    ShortestPathEngine engine(g, kernel);
+    Path to0;
+    Path to1;
+    std::vector<ShortestPathEngine::TreeTarget> targets(2);
+    targets[0].vertex = 0;
+    targets[0].path = &to0;
+    targets[1].vertex = 1;
+    targets[1].path = &to1;
+    engine.shortest_tree(weights, 2, targets);
+    EXPECT_EQ(targets[0].length, 1.0);
+    EXPECT_EQ(targets[1].length, 1.0);
+    EXPECT_EQ(to0, Path({0}));
+    EXPECT_EQ(to1, Path({1}));
+  }
+}
+
 // Kernel choice must not leak into solver output: Bounded-UFP selections,
 // paths and duals are identical under heap, bucket and auto.
 TEST(KernelCrossCheck, BoundedUfpInvariantUnderKernel) {
