@@ -6,7 +6,6 @@
 
 #include "tufp/ufp/detail/sp_cache.hpp"
 #include "tufp/ufp/detail/substrate.hpp"
-#include "tufp/ufp/detail/workspace_access.hpp"
 #include "tufp/util/assert.hpp"
 #include "tufp/util/math.hpp"
 
@@ -15,16 +14,10 @@ namespace tufp {
 namespace {
 
 BkvResult run_bkv(const detail::Substrate& sub, const BoundedUfpConfig& config,
-                  detail::SpCache& cache, bool warm_start) {
-  TUFP_REQUIRE(config.epsilon > 0.0 && config.epsilon <= 1.0,
-               "epsilon outside (0,1]");
-  TUFP_REQUIRE(sub.num_active > 0, "BKV needs at least one active edge");
+                  detail::SpCache& cache) {
+  detail::validate_config(sub, config);
   const double B = sub.B;
-  TUFP_REQUIRE(B >= 1.0, "B must be >= 1");
   const double eps = config.epsilon;
-  TUFP_REQUIRE(eps * B <= kMaxSafeExponent, "eps*B too large");
-  TUFP_REQUIRE(!config.run_to_saturation || config.capacity_guard,
-               "run_to_saturation requires the capacity guard");
 
   const int R = static_cast<int>(sub.requests.size());
 
@@ -62,8 +55,7 @@ BkvResult run_bkv(const detail::Substrate& sub, const BoundedUfpConfig& config,
     }
     ++now;
     cache.refresh(y, edge_stamp, now, all, config.lazy_shortest_paths,
-                  guard_residual, &profile, sub.blocked,
-                  /*epoch_start=*/warm_start && now == 1);
+                  guard_residual, &profile, sub.blocked);
 
     int best = -1;
     double best_priority = kInf;
@@ -129,22 +121,7 @@ BkvResult bkv_ufp(const UfpInstance& instance, const BoundedUfpConfig& config) {
   TUFP_REQUIRE(instance.is_normalized(), "demands must be in (0,1]");
   const detail::Substrate sub = detail::substrate_of(instance);
   detail::SpCache cache(instance, config.num_threads, config.sp_kernel);
-  return run_bkv(sub, config, cache, /*warm_start=*/false);
-}
-
-BkvResult bkv_ufp(const ResidualView& view, std::span<const Request> requests,
-                  const BoundedUfpConfig& config, UfpWorkspace* workspace) {
-  const detail::Substrate sub = detail::substrate_of(view, requests);
-  detail::validate_requests(sub);
-  if (workspace != nullptr) {
-    detail::SpCache& cache = detail::WorkspaceAccess::bind_cache(
-        *workspace, view.owner(), requests, config.num_threads,
-        config.sp_kernel);
-    return run_bkv(sub, config, cache, /*warm_start=*/true);
-  }
-  detail::SpCache cache(view.base(), requests, config.num_threads,
-                        config.sp_kernel);
-  return run_bkv(sub, config, cache, /*warm_start=*/false);
+  return run_bkv(sub, config, cache);
 }
 
 }  // namespace tufp

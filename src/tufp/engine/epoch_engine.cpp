@@ -4,7 +4,6 @@
 #include <cmath>
 #include <utility>
 
-#include "tufp/engine/snapshot.hpp"
 #include "tufp/mechanism/critical_payment.hpp"
 #include "tufp/obs/trace.hpp"
 #include "tufp/util/assert.hpp"
@@ -62,7 +61,8 @@ EpochEngine::EpochEngine(std::shared_ptr<const Graph> base_graph,
                "is unsound on infeasible epoch outputs");
   for (const double c : base_->capacities()) total_capacity_ += c;
   rgraph_ = std::make_unique<ResidualGraph>(base_, config_.min_usable_capacity);
-  workspace_ = std::make_unique<UfpWorkspace>();
+  workspace_ = std::make_unique<UfpWorkspace>(
+      *rgraph_, config_.solver.num_threads, config_.solver.sp_kernel);
   ledger_ = std::make_unique<temporal::LeaseLedger>(
       base_->num_edges(),
       temporal::LeaseLedgerConfig{config_.lease_tick_seconds});
@@ -186,8 +186,7 @@ int EpochEngine::reclaim_expired(double now) {
     // edges provably cannot touch (residual_csr.hpp survival criterion),
     // validated through the post-reclaim clock.
     const UfpWorkspace::ReclaimRevalidation r =
-        workspace_->revalidate_warm_trees(*base_, reclaimed_scratch_,
-                                          rgraph_->clock());
+        workspace_->revalidate_warm_trees(reclaimed_scratch_, rgraph_->clock());
     metrics_.counters().trees_kept_on_reclaim += r.kept;
     metrics_.counters().trees_dropped_on_reclaim += r.dropped;
   }
@@ -454,8 +453,7 @@ AdmissionReport EpochEngine::clear_epoch(const std::vector<TimedRequest>& batch,
   // workspace.
   const BoundedUfpResult run = [&] {
     TUFP_SPAN("solve");
-    return bounded_ufp(rgraph_->view(), requests, solver_cfg,
-                       workspace_.get());
+    return bounded_ufp(rgraph_->view(), requests, solver_cfg, *workspace_);
   }();
   report.solver_iterations = run.iterations;
   report.sp_computations = run.sp_computations;
@@ -612,22 +610,14 @@ void EpochEngine::apply_payments(std::span<const Request> requests,
       return;
     }
     case PaymentPolicy::kCritical: {
-      // The withheld solves need an epoch instance: compile it here from
-      // the frozen epoch-start residuals (live residuals are untouched
-      // until the winner loop below, so this is bit-for-bit the snapshot
-      // sim/reference_engine.hpp compiles, and the payments match the
-      // one-shot mechanism's). The critical path is documented as the
-      // expensive policy; one compile per *paying* epoch keeps the
-      // no-payment hot path allocation-free.
-      const GraphSnapshot snap = GraphSnapshot::compile(
-          base_, rgraph_->epoch_capacities(), config_.min_usable_capacity);
-      const UfpInstance epoch_instance(
-          snap.graph(), std::vector<Request>(requests.begin(), requests.end()));
       // Winner shard of the epoch clear: each winner is priced by one
-      // solve with it withheld from selection, against the same immutable
-      // epoch instance, and its bisection probes are answered from that
-      // solve's rounds (mechanism/critical_payment.hpp). Winners fan out
-      // over parallel_for and the results land in per-winner slots —
+      // solve with it withheld from selection, over the epoch's residual
+      // view, and its bisection probes are answered from that solve's
+      // rounds (mechanism/critical_payment.hpp). The view's capacities
+      // and blocked mask are the epoch-start freeze, and the winners'
+      // commits come only after this call, so every withheld solve sees
+      // the network the clearing solve saw. Winners fan out over
+      // parallel_for and the results land in per-winner slots —
       // byte-identical for any thread count, read back in arrival order
       // by the allocation loop. The withheld solves run serial (identical
       // output): parallelism lives at the winner level here, and nested
@@ -635,17 +625,18 @@ void EpochEngine::apply_payments(std::span<const Request> requests,
       // only allocate engines no slot uses.
       BoundedUfpConfig probe_cfg = solver_cfg;
       probe_cfg.num_threads = 1;
+      const ResidualView view = rgraph_->view();
       std::vector<int> winners;
-      for (int r = 0; r < epoch_instance.num_requests(); ++r) {
+      for (int r = 0; r < static_cast<int>(requests.size()); ++r) {
         if (run.solution.is_selected(r)) winners.push_back(r);
       }
       parallel_for(winners.size(), config_.solver.num_threads,
                    [&](std::size_t i, int /*slot*/) {
-                     const int r = winners[i];
+                     const auto r = static_cast<std::size_t>(winners[i]);
                      const double critical = ufp_critical_value(
-                         epoch_instance, probe_cfg, r, config_.payment_options);
-                     (*payments)[static_cast<std::size_t>(r)] =
-                         std::min(critical, epoch_instance.request(r).value);
+                         view, requests, probe_cfg, winners[i],
+                         config_.payment_options);
+                     (*payments)[r] = std::min(critical, requests[r].value);
                    });
       return;
     }

@@ -29,9 +29,9 @@
 //
 // Payments per epoch (DESIGN.md §7):
 //   * kCritical — the paper's critical-value payment computed by bisection
-//     against the epoch instance. Truthful (Thm 2.3); each winner costs
-//     one full re-solve with the winner withheld, whose rounds answer
-//     every bisection probe (mechanism/critical_payment.hpp).
+//     over the epoch's residual view. Truthful (Thm 2.3); each winner
+//     costs one full re-solve with the winner withheld, whose rounds
+//     answer every bisection probe (mechanism/critical_payment.hpp).
 //   * kDualPrice — posted congestion price frozen at admission time:
 //     pay_r = v_r * min(1, alpha_r) where alpha_r = (d_r/v_r)*|p_r|_y is
 //     the normalized dual length of the winning path at selection. Cheap

@@ -43,15 +43,6 @@ void ResidualView::commit_admission(std::span<const EdgeId> path,
   rg_->commit_admission(path, demand);
 }
 
-UfpInstance ResidualView::make_instance(
-    std::span<const Request> requests) const {
-  TUFP_REQUIRE(rg_->num_active() == rg_->base().num_edges(),
-               "make_instance requires every edge active: a UfpInstance "
-               "cannot express the blocked mask");
-  return UfpInstance(rg_->base_shared(),
-                     std::vector<Request>(requests.begin(), requests.end()));
-}
-
 ResidualGraph::ResidualGraph(std::shared_ptr<const Graph> base,
                              double min_usable_capacity)
     : base_(std::move(base)), floor_(min_usable_capacity) {

@@ -1,10 +1,10 @@
 // Persistent residual graph: the serving hot path without per-epoch
 // snapshot recompiles.
 //
-// The legacy epoch cycle (engine/snapshot.hpp) compiles a fresh value-copy
-// subgraph — new CSR, new edge ids, new solver caches — every epoch, an
-// O(n + m) rebuild that dominates steady-state serving and caps the engine
-// at toy scale (ROADMAP's top open item). This subsystem keeps ONE
+// A snapshot-per-epoch cycle (sim/snapshot.hpp, kept only for the naive
+// reference engine) compiles a fresh value-copy subgraph — new CSR, new
+// edge ids, new solver caches — every epoch, an O(n + m) rebuild that
+// dominates steady-state serving. This subsystem keeps ONE
 // struct-of-arrays edge store per world, built once over the base graph's
 // CSR, and updates it in place:
 //
@@ -50,7 +50,6 @@
 
 #include "tufp/graph/dijkstra.hpp"
 #include "tufp/graph/graph.hpp"
-#include "tufp/ufp/instance.hpp"
 #include "tufp/util/arena.hpp"
 #include "tufp/util/math.hpp"
 
@@ -83,11 +82,6 @@ class ResidualView {
   std::int64_t last_decrease() const;
 
   void commit_admission(std::span<const EdgeId> path, double demand) const;
-
-  // Materializes a UfpInstance over the base graph for offline consumers
-  // (lab baselines, exact solvers). Requires every edge active — the
-  // blocked mask cannot be expressed in an instance.
-  UfpInstance make_instance(std::span<const Request> requests) const;
 
   // The owning store (warm-start wiring in the solver internals).
   const ResidualGraph& owner() const { return *rg_; }

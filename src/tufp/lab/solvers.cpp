@@ -26,54 +26,44 @@ BoundedUfpConfig primal_dual_config(const LabSolveConfig& config) {
 }
 
 LabSolve from_solution(const UfpSolution& solution,
-                       std::span<const Request> requests) {
+                       const UfpInstance& instance) {
   LabSolve out;
   out.ran = true;
   double total = 0.0;
-  for (int r = 0; r < static_cast<int>(requests.size()); ++r) {
-    if (solution.is_selected(r)) {
-      total += requests[static_cast<std::size_t>(r)].value;
-    }
+  for (int r = 0; r < instance.num_requests(); ++r) {
+    if (solution.is_selected(r)) total += instance.request(r).value;
   }
   out.value = total;
   out.selected = solution.num_selected();
   return out;
 }
 
-LabSolve solve_bounded(const ResidualView& view,
-                       std::span<const Request> requests,
+LabSolve solve_bounded(const UfpInstance& instance,
                        const LabSolveConfig& config) {
   return from_solution(
-      bounded_ufp(view, requests, primal_dual_config(config)).solution,
-      requests);
+      bounded_ufp(instance, primal_dual_config(config)).solution, instance);
 }
 
-LabSolve solve_bkv(const ResidualView& view, std::span<const Request> requests,
-                   const LabSolveConfig& config) {
-  return from_solution(
-      bkv_ufp(view, requests, primal_dual_config(config)).solution, requests);
+LabSolve solve_bkv(const UfpInstance& instance, const LabSolveConfig& config) {
+  return from_solution(bkv_ufp(instance, primal_dual_config(config)).solution,
+                       instance);
 }
 
-LabSolve solve_greedy_value(const ResidualView& view,
-                            std::span<const Request> requests,
+LabSolve solve_greedy_value(const UfpInstance& instance,
                             const LabSolveConfig&) {
-  return from_solution(
-      greedy_ufp(view.make_instance(requests), GreedyRanking::kByValue),
-      requests);
+  return from_solution(greedy_ufp(instance, GreedyRanking::kByValue),
+                       instance);
 }
 
-LabSolve solve_greedy_density(const ResidualView& view,
-                              std::span<const Request> requests,
+LabSolve solve_greedy_density(const UfpInstance& instance,
                               const LabSolveConfig&) {
-  return from_solution(
-      greedy_ufp(view.make_instance(requests), GreedyRanking::kByDensity),
-      requests);
+  return from_solution(greedy_ufp(instance, GreedyRanking::kByDensity),
+                       instance);
 }
 
-LabSolve solve_rounding(const ResidualView& view,
-                        std::span<const Request> requests,
+LabSolve solve_rounding(const UfpInstance& instance,
                         const LabSolveConfig& config) {
-  if (static_cast<int>(requests.size()) > config.rounding_max_requests) {
+  if (instance.num_requests() > config.rounding_max_requests) {
     return {false, 0.0, 0, false, "gated: needs the exact path LP"};
   }
   RoundingConfig rounding;
@@ -81,17 +71,17 @@ LabSolve solve_rounding(const ResidualView& view,
   // flagging truncation, quietly solving a different relaxation.
   rounding.path_enum.max_paths = 800;
   try {
-    const RoundingResult result = randomized_rounding_ufp(
-        view.make_instance(requests), config.rounding_seed, rounding);
-    return from_solution(result.solution, requests);
+    const RoundingResult result =
+        randomized_rounding_ufp(instance, config.rounding_seed, rounding);
+    return from_solution(result.solution, instance);
   } catch (const std::exception&) {
     return {false, 0.0, 0, false, "gated: path enumeration truncated"};
   }
 }
 
-LabSolve solve_exact(const ResidualView& view, std::span<const Request> requests,
+LabSolve solve_exact(const UfpInstance& instance,
                      const LabSolveConfig& config) {
-  if (static_cast<int>(requests.size()) > config.exact_max_requests) {
+  if (instance.num_requests() > config.exact_max_requests) {
     return {false, 0.0, 0, false, "gated: instance too large for B&B"};
   }
   UfpExactOptions options;
@@ -104,9 +94,8 @@ LabSolve solve_exact(const ResidualView& view, std::span<const Request> requests
   options.path_enum.max_paths = 600;
   options.max_nodes = 500'000;
   try {
-    const UfpExactResult result =
-        solve_ufp_exact(view.make_instance(requests), options);
-    LabSolve out = from_solution(result.solution, requests);
+    const UfpExactResult result = solve_ufp_exact(instance, options);
+    LabSolve out = from_solution(result.solution, instance);
     out.proven_optimal = result.proven_optimal;
     if (!result.proven_optimal) out.note = "node cap hit: value is a lower bound";
     return out;
@@ -135,16 +124,6 @@ const LabSolverEntry* find_solver(const std::string& name) {
     if (name == entry.name) return &entry;
   }
   return nullptr;
-}
-
-LabSolve run_solver_on_instance(const LabSolverEntry& entry,
-                                const UfpInstance& instance,
-                                const LabSolveConfig& config) {
-  // Floor at the graph's min capacity so residual >= floor holds on every
-  // edge: nothing is blocked and make_instance-backed members stay legal.
-  ResidualGraph rgraph(instance.shared_graph(),
-                       instance.graph().min_capacity());
-  return entry.fn(rgraph.view(), instance.requests(), config);
 }
 
 }  // namespace tufp::lab

@@ -44,7 +44,8 @@ double ufp_critical_value(const UfpInstance& instance, const UfpRule& rule,
   return bisect_critical(declared.value, wins_at, options, evaluations);
 }
 
-double ufp_critical_value(const UfpInstance& instance,
+double ufp_critical_value(const ResidualView& view,
+                          std::span<const Request> requests,
                           const BoundedUfpConfig& config, int r,
                           const PaymentOptions& options) {
   // Answers each probe from the rounds of one withheld solve: the probe
@@ -52,8 +53,8 @@ double ufp_critical_value(const UfpInstance& instance,
   // winner, compared exactly as the solver's selection loop compares —
   // the same float expression, `<` or a tie settled by the lower id.
   const std::vector<WithheldRound> rounds =
-      bounded_ufp_withheld(instance, config, r);
-  const Request& declared = instance.request(r);
+      bounded_ufp_withheld(view, requests, config, r);
+  const Request& declared = requests[static_cast<std::size_t>(r)];
   const auto wins_at = [&](double v) {
     for (const WithheldRound& round : rounds) {
       if (!round.fits) continue;

@@ -6,12 +6,14 @@
 // truth-telling a dominant strategy (Theorem 2.3). Monotonicity makes the
 // critical value computable by bisection on the declared value. For a
 // generic rule each probe re-runs the rule on a single-declaration variant
-// of the instance. For Bounded-UFP one solve per winner answers every
-// probe: the solve with the winner withheld from selection records, round
-// by round, the winner's path length and the round winner's priority, and
-// a probe at bid v replays the selection comparison over those rounds
-// (bounded_ufp_withheld). Both paths run the same bisection, so their
-// payments are bitwise equal. Losers pay zero (normalization).
+// of the instance. The epoch engine prices Bounded-UFP winners over its
+// residual view instead, where one solve per winner answers every probe:
+// the solve with the winner withheld from selection records, round by
+// round, the winner's path length and the round winner's priority, and a
+// probe at bid v replays the selection comparison over those rounds
+// (bounded_ufp_withheld). Both paths run the same bisection, so over the
+// same active edges their payments are bitwise equal. Losers pay zero
+// (normalization).
 //
 // The bisection brackets theta within a configurable relative tolerance;
 // payments are reported as the upper end of the bracket, so they never
@@ -19,8 +21,10 @@
 // value (individual rationality).
 #pragma once
 
+#include <span>
 #include <vector>
 
+#include "tufp/graph/residual_csr.hpp"
 #include "tufp/mechanism/allocation_rule.hpp"
 
 namespace tufp {
@@ -63,10 +67,13 @@ double ufp_critical_value(const UfpInstance& instance, const UfpRule& rule,
                           int r, const PaymentOptions& options = {},
                           long* evaluations = nullptr);
 
-// The same critical value under make_bounded_ufp_rule(config), bitwise
-// equal to the overload above, from one withheld solve instead of one
-// solve per probe.
-double ufp_critical_value(const UfpInstance& instance,
+// The same critical value under make_bounded_ufp_rule(config) for
+// request r of `requests` over the epoch engine's residual view, from one
+// withheld solve instead of one solve per probe. Bitwise equal to the
+// overload above on the instance the view's active edges compile to
+// (sim/snapshot.hpp).
+double ufp_critical_value(const ResidualView& view,
+                          std::span<const Request> requests,
                           const BoundedUfpConfig& config, int r,
                           const PaymentOptions& options = {});
 

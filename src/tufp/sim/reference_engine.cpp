@@ -3,8 +3,8 @@
 #include <algorithm>
 #include <utility>
 
-#include "tufp/engine/snapshot.hpp"
 #include "tufp/obs/trace.hpp"
+#include "tufp/sim/snapshot.hpp"
 #include "tufp/util/assert.hpp"
 #include "tufp/util/math.hpp"
 #include "tufp/util/timer.hpp"

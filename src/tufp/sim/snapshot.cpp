@@ -1,4 +1,4 @@
-#include "tufp/engine/snapshot.hpp"
+#include "tufp/sim/snapshot.hpp"
 
 #include <algorithm>
 #include <utility>
@@ -6,7 +6,7 @@
 #include "tufp/util/assert.hpp"
 #include "tufp/util/math.hpp"
 
-namespace tufp {
+namespace tufp::sim {
 
 GraphSnapshot GraphSnapshot::compile(std::shared_ptr<const Graph> base,
                                      std::span<const double> residual,
@@ -44,4 +44,4 @@ GraphSnapshot GraphSnapshot::compile(std::shared_ptr<const Graph> base,
   return snap;
 }
 
-}  // namespace tufp
+}  // namespace tufp::sim

@@ -1,14 +1,16 @@
-// GraphSnapshot — the immutable per-epoch view of the network.
+// GraphSnapshot — an immutable compiled view of the residual network,
+// the per-epoch input of the naive reference engine
+// (sim/reference_engine.hpp) and of the tests that price the production
+// engine's epochs offline.
 //
-// The streaming engine never mutates the base topology. Each epoch it
-// compiles the base graph plus the residual capacities carried over from
-// all previous epochs into a fresh snapshot: a finalized CSR `tufp::Graph`
-// holding only the edges that can still carry a full-size request, with
-// capacity equal to the remaining headroom. Solving Bounded-UFP on the
-// snapshot is therefore solving the residual instance, and the paper's
-// preconditions hold by construction: demands are normalized to (0,1] and
-// every snapshot edge has capacity >= min_usable_capacity (default 1.0,
-// the normalized maximum demand), so B >= 1 (DESIGN.md §7).
+// A snapshot compiles the base graph plus a residual capacity vector
+// into a finalized CSR `tufp::Graph` holding only the edges that can
+// still carry a full-size request, with capacity equal to the remaining
+// headroom. Solving Bounded-UFP on the snapshot is therefore solving the
+// residual instance, and the paper's preconditions hold by construction:
+// demands are normalized to (0,1] and every snapshot edge has capacity
+// >= min_usable_capacity (default 1.0, the normalized maximum demand), so
+// B >= 1 (DESIGN.md §7).
 //
 // Edges whose residual drops below the floor are *saturated*: they leave
 // the snapshot entirely rather than shipping a tiny capacity that would
@@ -18,6 +20,8 @@
 // fraction is at most 1/B of the edge. Vertex ids are shared with the base
 // graph, so requests need no translation; edge ids are remapped and
 // `base_edge()` translates snapshot paths back for the residual update.
+// The production engine solves the same problem over the base graph and
+// a blocked mask (graph/residual_csr.hpp) without compiling anything.
 #pragma once
 
 #include <memory>
@@ -26,7 +30,7 @@
 
 #include "tufp/graph/graph.hpp"
 
-namespace tufp {
+namespace tufp::sim {
 
 class GraphSnapshot {
  public:
@@ -40,7 +44,7 @@ class GraphSnapshot {
 
   // The compiled residual graph. Finalized; may have zero edges when the
   // network is fully saturated (then it cannot back a UfpInstance and the
-  // epoch must be skipped — see EpochEngine).
+  // epoch must be skipped — see ReferenceEngine).
   const std::shared_ptr<const Graph>& graph() const { return graph_; }
   const std::shared_ptr<const Graph>& base() const { return base_; }
 
@@ -67,4 +71,4 @@ class GraphSnapshot {
   double min_residual_ = 0.0;
 };
 
-}  // namespace tufp
+}  // namespace tufp::sim

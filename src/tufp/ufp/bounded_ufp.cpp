@@ -14,32 +14,20 @@ namespace tufp {
 
 namespace {
 
-void validate_config(const detail::Substrate& sub,
-                     const BoundedUfpConfig& config) {
-  TUFP_REQUIRE(config.epsilon > 0.0 && config.epsilon <= 1.0,
-               "epsilon outside (0,1]");
-  TUFP_REQUIRE(sub.num_active > 0, "Bounded-UFP needs at least one active edge");
-  TUFP_REQUIRE(sub.B >= 1.0, "Bounded-UFP requires B = min capacity >= 1");
-  TUFP_REQUIRE(config.epsilon * sub.B <= kMaxSafeExponent,
-               "eps*B too large for double-range weights (see DESIGN.md §6)");
-  TUFP_REQUIRE(!config.run_to_saturation || config.capacity_guard,
-               "run_to_saturation requires the capacity guard");
-}
-
-// Algorithm 1's loop, written once against the substrate. `warm_start`
-// marks a solve over a persistent residual view with a live workspace:
-// the first refresh may then be served from cross-epoch settled trees
-// (bitwise-equivalent; detail/sp_cache.hpp). A non-null `state` caches
-// the O(m) epoch-start arrays across solves: they are reused verbatim
-// when the view's stamp clock is unchanged — init_duals is
-// deterministic over inputs the unchanged clock certifies as bitwise
-// identical, so reuse is exact — and they stay reusable after the solve
-// only when nothing was admitted (admissions are the sole mutation).
-// A non-null `rounds` withholds request `withheld` from selection and
-// records its view of every round (bounded_ufp_withheld).
+// Algorithm 1's loop, written once against the substrate. A non-null
+// `state` marks the engine's workspace solve: the first refresh may
+// then be served from cross-epoch settled trees (bitwise-equivalent;
+// detail/sp_cache.hpp), and the O(m) epoch-start arrays are cached
+// across solves: they are reused verbatim when the view's stamp clock
+// is unchanged — init_duals is deterministic over inputs the unchanged
+// clock certifies as bitwise identical, so reuse is exact — and they
+// stay reusable after the solve only when nothing was admitted
+// (admissions are the sole mutation). A non-null `rounds` withholds
+// request `withheld` from selection and records its view of every round
+// (bounded_ufp_withheld).
 BoundedUfpResult run_bounded_ufp(const detail::Substrate& sub,
                                  const BoundedUfpConfig& config,
-                                 detail::SpCache& cache, bool warm_start,
+                                 detail::SpCache& cache,
                                  detail::EpochSolveState* state = nullptr,
                                  int withheld = -1,
                                  std::vector<WithheldRound>* rounds = nullptr) {
@@ -52,7 +40,8 @@ BoundedUfpResult run_bounded_ufp(const detail::Substrate& sub,
 
   detail::EpochSolveState local;
   detail::EpochSolveState& st = state != nullptr ? *state : local;
-  const bool reused = state != nullptr && st.valid && sub.clock >= 0 &&
+  const bool warm_start = state != nullptr;
+  const bool reused = warm_start && st.valid && sub.clock >= 0 &&
                       st.clock == sub.clock &&
                       st.cap_data == sub.capacities.data() &&
                       st.cap_size == sub.capacities.size();
@@ -247,55 +236,43 @@ BoundedUfpResult bounded_ufp(const UfpInstance& instance,
   TUFP_REQUIRE(instance.is_normalized(),
                "Bounded-UFP requires demands in (0,1]; call normalized() first");
   const detail::Substrate sub = detail::substrate_of(instance);
-  validate_config(sub, config);
+  detail::validate_config(sub, config);
   detail::SpCache cache(instance, config.num_threads, config.sp_kernel);
-  return run_bounded_ufp(sub, config, cache, /*warm_start=*/false);
+  return run_bounded_ufp(sub, config, cache);
 }
 
-std::vector<WithheldRound> bounded_ufp_withheld(const UfpInstance& instance,
-                                                const BoundedUfpConfig& config,
-                                                int withheld) {
-  TUFP_REQUIRE(instance.is_normalized(),
-               "Bounded-UFP requires demands in (0,1]; call normalized() first");
-  TUFP_REQUIRE(withheld >= 0 && withheld < instance.num_requests(),
+std::vector<WithheldRound> bounded_ufp_withheld(
+    const ResidualView& view, std::span<const Request> requests,
+    const BoundedUfpConfig& config, int withheld) {
+  TUFP_REQUIRE(withheld >= 0 && withheld < static_cast<int>(requests.size()),
                "withheld request index out of range");
-  const detail::Substrate sub = detail::substrate_of(instance);
-  validate_config(sub, config);
+  const detail::Substrate sub = detail::substrate_of(view, requests);
+  detail::validate_requests(sub);
+  detail::validate_config(sub, config);
   // Neither the exit classification nor the dual export changes a
   // selection, so the withheld solve skips both.
   BoundedUfpConfig cfg = config;
   cfg.classify_rejections = false;
   cfg.export_duals = false;
   cfg.record_trace = false;
-  detail::SpCache cache(instance, cfg.num_threads, cfg.sp_kernel);
+  detail::SpCache cache(view.base(), requests, cfg.num_threads, cfg.sp_kernel);
   std::vector<WithheldRound> rounds;
-  run_bounded_ufp(sub, cfg, cache, /*warm_start=*/false, /*state=*/nullptr,
-                  withheld, &rounds);
+  run_bounded_ufp(sub, cfg, cache, /*state=*/nullptr, withheld, &rounds);
   return rounds;
 }
 
 BoundedUfpResult bounded_ufp(const ResidualView& view,
                              std::span<const Request> requests,
                              const BoundedUfpConfig& config,
-                             UfpWorkspace* workspace) {
+                             UfpWorkspace& workspace) {
   const detail::Substrate sub = detail::substrate_of(view, requests);
   detail::validate_requests(sub);
-  validate_config(sub, config);
-  if (workspace != nullptr) {
-    detail::SpCache& cache = detail::WorkspaceAccess::bind_cache(
-        *workspace, view.owner(), requests, config.num_threads,
-        config.sp_kernel);
-    detail::EpochSolveState& st =
-        detail::WorkspaceAccess::solve_state(*workspace);
-    if (st.owner != &view.owner()) {
-      st.valid = false;  // a rebound workspace never reuses foreign state
-      st.owner = &view.owner();
-    }
-    return run_bounded_ufp(sub, config, cache, /*warm_start=*/true, &st);
-  }
-  detail::SpCache cache(view.base(), requests, config.num_threads,
-                        config.sp_kernel);
-  return run_bounded_ufp(sub, config, cache, /*warm_start=*/false);
+  detail::validate_config(sub, config);
+  detail::SpCache& cache = detail::WorkspaceAccess::bind_cache(
+      workspace, view.owner(), requests, config.num_threads,
+      config.sp_kernel);
+  return run_bounded_ufp(sub, config, cache,
+                         &detail::WorkspaceAccess::solve_state(workspace));
 }
 
 }  // namespace tufp

@@ -173,27 +173,30 @@ struct WithheldRound {
   double winner_priority = kInf;
 };
 
-// Algorithm 1 with request `withheld` kept in every shortest-path refresh
-// but never selectable; one WithheldRound per round. Selection reads a
-// request's value only through the argmin of (d/v)·|p|_y, so the solve
-// with `withheld` declaring any value v runs these same rounds until the
-// first one it wins — which is what critical-value bisection probes ask
+// Algorithm 1 over the epoch engine's residual view with request
+// `withheld` kept in every shortest-path refresh but never selectable; one
+// WithheldRound per round. Selection reads a request's value only
+// through the argmin of (d/v)·|p|_y, so the solve with `withheld`
+// declaring any value v runs these same rounds until the first one it
+// wins — which is what critical-value bisection probes ask
 // (mechanism/critical_payment.hpp). Rejections, duals and the trace are
-// not produced. Preconditions as bounded_ufp(instance, config).
-std::vector<WithheldRound> bounded_ufp_withheld(const UfpInstance& instance,
-                                                const BoundedUfpConfig& config,
-                                                int withheld);
+// not produced, and no workspace is used (a workspace never changes a
+// selection). Preconditions as the view overload of bounded_ufp below.
+std::vector<WithheldRound> bounded_ufp_withheld(
+    const ResidualView& view, std::span<const Request> requests,
+    const BoundedUfpConfig& config, int withheld);
 
-// Hot-path entry point: solves over a persistent residual view without
+// The epoch engine's solve: over a persistent residual view without
 // compiling a per-epoch instance. Edge ids are base-graph ids; blocked
 // edges are excluded from every search and carry y = 0 in result.y.
 // Preconditions as above with B = the view's min active residual and at
-// least one active edge. A non-null `workspace` reuses the shortest-path
-// cache, shard plan and cross-epoch settled trees across calls — results
-// are bitwise identical with or without it.
+// least one active edge. The workspace must be bound to the view's
+// residual graph and to config's num_threads and sp_kernel; it reuses
+// the shortest-path cache, shard plan and cross-epoch settled trees
+// across calls, and results are bitwise identical to a fresh solve.
 BoundedUfpResult bounded_ufp(const ResidualView& view,
                              std::span<const Request> requests,
-                             const BoundedUfpConfig& config = {},
-                             UfpWorkspace* workspace = nullptr);
+                             const BoundedUfpConfig& config,
+                             UfpWorkspace& workspace);
 
 }  // namespace tufp

@@ -6,7 +6,6 @@
 
 #include "tufp/ufp/detail/sp_cache.hpp"
 #include "tufp/ufp/detail/substrate.hpp"
-#include "tufp/ufp/detail/workspace_access.hpp"
 #include "tufp/util/assert.hpp"
 #include "tufp/util/math.hpp"
 
@@ -16,7 +15,7 @@ namespace {
 
 BoundedUfpRepeatResult run_repeat(const detail::Substrate& sub,
                                   const BoundedUfpRepeatConfig& config,
-                                  detail::SpCache& cache, bool warm_start) {
+                                  detail::SpCache& cache) {
   TUFP_REQUIRE(config.epsilon > 0.0 && config.epsilon <= 1.0,
                "epsilon outside (0,1]");
   TUFP_REQUIRE(sub.num_active > 0,
@@ -59,8 +58,7 @@ BoundedUfpRepeatResult run_repeat(const detail::Substrate& sub,
     }
     ++now;
     cache.refresh(y, edge_stamp, now, live, config.lazy_shortest_paths,
-                  guard_residual, &profile, sub.blocked,
-                  /*epoch_start=*/warm_start && now == 1);
+                  guard_residual, &profile, sub.blocked);
     result.sp_computations +=
         static_cast<std::int64_t>(cache.recomputed_last_refresh());
 
@@ -128,24 +126,7 @@ BoundedUfpRepeatResult bounded_ufp_repeat(const UfpInstance& instance,
                "Bounded-UFP-Repeat requires demands in (0,1]");
   const detail::Substrate sub = detail::substrate_of(instance);
   detail::SpCache cache(instance, config.num_threads, config.sp_kernel);
-  return run_repeat(sub, config, cache, /*warm_start=*/false);
-}
-
-BoundedUfpRepeatResult bounded_ufp_repeat(const ResidualView& view,
-                                          std::span<const Request> requests,
-                                          const BoundedUfpRepeatConfig& config,
-                                          UfpWorkspace* workspace) {
-  const detail::Substrate sub = detail::substrate_of(view, requests);
-  detail::validate_requests(sub);
-  if (workspace != nullptr) {
-    detail::SpCache& cache = detail::WorkspaceAccess::bind_cache(
-        *workspace, view.owner(), requests, config.num_threads,
-        config.sp_kernel);
-    return run_repeat(sub, config, cache, /*warm_start=*/true);
-  }
-  detail::SpCache cache(view.base(), requests, config.num_threads,
-                        config.sp_kernel);
-  return run_repeat(sub, config, cache, /*warm_start=*/false);
+  return run_repeat(sub, config, cache);
 }
 
 }  // namespace tufp

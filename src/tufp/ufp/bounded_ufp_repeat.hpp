@@ -48,12 +48,4 @@ struct BoundedUfpRepeatResult {
 BoundedUfpRepeatResult bounded_ufp_repeat(
     const UfpInstance& instance, const BoundedUfpRepeatConfig& config = {});
 
-// Hot-path entry point over a persistent residual view (base-graph edge
-// ids, blocked edges excluded); see bounded_ufp's view overload for the
-// contract. Bitwise identical with or without a workspace.
-BoundedUfpRepeatResult bounded_ufp_repeat(
-    const ResidualView& view, std::span<const Request> requests,
-    const BoundedUfpRepeatConfig& config = {},
-    UfpWorkspace* workspace = nullptr);
-
 }  // namespace tufp

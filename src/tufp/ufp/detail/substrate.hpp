@@ -1,13 +1,16 @@
-// Solver substrate (internal header): the one description of an epoch's
-// problem that Bounded-UFP, Bounded-UFP-Repeat and BKV all run against.
+// Solver substrate (internal header): the one description of a solve's
+// problem that Bounded-UFP, Bounded-UFP-Repeat and BKV run against.
 //
-// The solvers used to consume a UfpInstance — a value-copied compiled
-// subgraph per epoch. Under the persistent residual graph they instead
-// see the base graph plus a blocked mask (graph/residual_csr.hpp), with
-// base edge ids as solver edge ids. This struct is the common
-// denominator: both entry points (UfpInstance and ResidualView) lower to
-// it, and each solver's core loop is written once against it. The two
-// lowerings are byte-equivalent on the active edge set — the compiled
+// There are two lowerings, and each has one kind of caller:
+//   * substrate_of(UfpInstance) — the offline solvers: bounded_ufp over
+//     an instance, bounded_ufp_repeat, bkv_ufp and everything the lab
+//     and the reference engine run. Every edge is active.
+//   * substrate_of(ResidualView, requests) — the epoch engine: its
+//     clearing solve and the withheld solves that price winners. The
+//     view is the base graph plus a blocked mask (graph/residual_csr.hpp),
+//     with base edge ids as solver edge ids.
+// Each solver's core loop is written once against this struct. The two
+// lowerings are byte-equivalent on the active edge set: a compiled
 // snapshot's arc lists are order-preserving subsequences of the base arc
 // lists, so the canonical searches, tie-breaks and dual arithmetic agree
 // bitwise (enforced end-to-end by the config-diff sim oracle).
@@ -19,6 +22,7 @@
 
 #include "tufp/graph/dijkstra.hpp"
 #include "tufp/graph/residual_csr.hpp"
+#include "tufp/ufp/bounded_ufp.hpp"
 #include "tufp/ufp/instance.hpp"
 #include "tufp/util/assert.hpp"
 #include "tufp/util/math.hpp"
@@ -70,7 +74,7 @@ inline bool edge_active(const Substrate& s, std::size_t e) {
 
 // The validation the UfpInstance constructor performs, applied to a raw
 // request span for the view entry points; plus the normalized-demand
-// precondition all three solvers share.
+// precondition every solver shares.
 inline void validate_requests(const Substrate& s) {
   const int n = s.graph->num_vertices();
   for (const Request& r : s.requests) {
@@ -83,6 +87,18 @@ inline void validate_requests(const Substrate& s) {
     TUFP_REQUIRE(r.demand <= 1.0 + 1e-12,
                  "solvers require normalized demands in (0,1]");
   }
+}
+
+// The configuration preconditions Bounded-UFP and BKV share.
+inline void validate_config(const Substrate& s, const BoundedUfpConfig& config) {
+  TUFP_REQUIRE(config.epsilon > 0.0 && config.epsilon <= 1.0,
+               "epsilon outside (0,1]");
+  TUFP_REQUIRE(s.num_active > 0, "the solver needs at least one active edge");
+  TUFP_REQUIRE(s.B >= 1.0, "the solver requires B = min capacity >= 1");
+  TUFP_REQUIRE(config.epsilon * s.B <= kMaxSafeExponent,
+               "eps*B too large for double-range weights (see DESIGN.md §6)");
+  TUFP_REQUIRE(!config.run_to_saturation || config.capacity_guard,
+               "run_to_saturation requires the capacity guard");
 }
 
 // Line 4 of Alg. 1 over the active edge set: y_e = 1/c_e on active edges

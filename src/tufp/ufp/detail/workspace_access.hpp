@@ -1,7 +1,7 @@
 // Internal backdoor into UfpWorkspace's pimpl (solver implementation
 // files only). Public consumers see ufp/workspace.hpp's opaque surface;
-// the solvers need the concrete SpCache/SourceTreeCache to wire warm
-// starts up.
+// bounded_ufp's view overload needs the concrete SpCache and solve
+// state.
 #pragma once
 
 #include <cstdint>
@@ -12,6 +12,7 @@
 #include "tufp/graph/residual_csr.hpp"
 #include "tufp/ufp/detail/sp_cache.hpp"
 #include "tufp/ufp/workspace.hpp"
+#include "tufp/util/assert.hpp"
 
 namespace tufp {
 
@@ -33,11 +34,10 @@ struct EpochSolveState {
   WeightProfile profile;
   double dual_sum = 0.0;
 
-  // Reuse key: valid only for this owner at this stamp clock over this
-  // exact capacity span. An engine reset() clears the whole workspace,
-  // so a restarted clock can never alias a stale key.
+  // Reuse key: valid only at this stamp clock over this exact capacity
+  // span of the workspace's own graph. An engine reset() clears the
+  // whole workspace, so a restarted clock can never alias a stale key.
   bool valid = false;
-  const ResidualGraph* owner = nullptr;
   std::int64_t clock = -1;
   const double* cap_data = nullptr;
   std::size_t cap_size = 0;
@@ -46,57 +46,43 @@ struct EpochSolveState {
 }  // namespace detail
 
 struct UfpWorkspace::Impl {
-  std::unique_ptr<detail::SpCache> cache;
+  Impl(const ResidualGraph& rgraph, int threads, SpKernel sp_kernel)
+      : graph(&rgraph),
+        num_threads(threads),
+        kernel(sp_kernel),
+        cache(rgraph.base(), {}, threads, sp_kernel) {
+    cache.set_warm_context(graph, &trees);
+  }
+
+  // The binding, fixed for the workspace's lifetime.
+  const ResidualGraph* graph;
+  int num_threads;
+  SpKernel kernel;
+
   SourceTreeCache trees;
+  detail::SpCache cache;
   detail::EpochSolveState solve_state;
-
-  // Construction parameters the cached SpCache was built with; a solve
-  // with a different configuration rebuilds it.
-  const Graph* graph = nullptr;
-  int num_threads = 0;
-  SpKernel kernel = SpKernel::kAuto;
-
-  // Counter baselines from caches discarded by reconfiguration, so the
-  // public telemetry stays monotone across rebuilds.
-  std::int64_t retired_warm_trees = 0;
-  std::int64_t retired_warm_entries = 0;
-  std::int64_t retired_plan_builds = 0;
-  std::int64_t retired_plan_reuses = 0;
 };
 
 namespace detail {
 
 class WorkspaceAccess {
  public:
-  static UfpWorkspace::Impl& impl(UfpWorkspace& ws) { return *ws.impl_; }
-
-  // The workspace's SpCache bound to (graph, requests) under the given
-  // thread-count/kernel configuration: rebinds the existing cache when
-  // compatible, rebuilds it otherwise. The returned cache has its warm
-  // context attached to the workspace's tree cache.
+  // The workspace's SpCache rebound to `requests`, with its warm context
+  // attached to the workspace's tree cache. The solve must match the
+  // workspace's binding.
   static SpCache& bind_cache(UfpWorkspace& ws, const ResidualGraph& rgraph,
                              std::span<const Request> requests,
                              int num_threads, SpKernel kernel) {
     UfpWorkspace::Impl& state = *ws.impl_;
-    const Graph* graph = &rgraph.base();
-    if (state.cache == nullptr || state.graph != graph ||
-        state.num_threads != num_threads || state.kernel != kernel) {
-      if (state.cache != nullptr) {
-        state.retired_warm_trees += state.cache->warm_trees_served();
-        state.retired_warm_entries += state.cache->warm_entries_served();
-        state.retired_plan_builds += state.cache->plan_builds();
-        state.retired_plan_reuses += state.cache->plan_reuses();
-      }
-      state.cache =
-          std::make_unique<SpCache>(*graph, requests, num_threads, kernel);
-      state.graph = graph;
-      state.num_threads = num_threads;
-      state.kernel = kernel;
-    } else {
-      state.cache->rebind(requests);
-    }
-    state.cache->set_warm_context(&rgraph, &state.trees);
-    return *state.cache;
+    TUFP_REQUIRE(&rgraph == state.graph,
+                 "the view belongs to another residual graph than the "
+                 "workspace's");
+    TUFP_REQUIRE(num_threads == state.num_threads && kernel == state.kernel,
+                 "the solve's num_threads and sp_kernel must match the "
+                 "workspace's");
+    state.cache.rebind(requests);
+    return state.cache;
   }
 
   static EpochSolveState& solve_state(UfpWorkspace& ws) {

@@ -4,7 +4,9 @@
 
 namespace tufp {
 
-UfpWorkspace::UfpWorkspace() : impl_(std::make_unique<Impl>()) {}
+UfpWorkspace::UfpWorkspace(const ResidualGraph& graph, int num_threads,
+                           SpKernel kernel)
+    : impl_(std::make_unique<Impl>(graph, num_threads, kernel)) {}
 
 UfpWorkspace::~UfpWorkspace() = default;
 
@@ -12,34 +14,17 @@ UfpWorkspace::UfpWorkspace(UfpWorkspace&&) noexcept = default;
 
 UfpWorkspace& UfpWorkspace::operator=(UfpWorkspace&&) noexcept = default;
 
-void UfpWorkspace::clear() { impl_ = std::make_unique<Impl>(); }
+void UfpWorkspace::clear() {
+  impl_ = std::make_unique<Impl>(*impl_->graph, impl_->num_threads,
+                                 impl_->kernel);
+}
 
 UfpWorkspace::ReclaimRevalidation UfpWorkspace::revalidate_warm_trees(
-    const Graph& base, std::span<const EdgeId> reclaimed,
-    std::int64_t clock_after) {
+    std::span<const EdgeId> reclaimed, std::int64_t clock_after) {
   const SourceTreeCache::ReclaimRevalidation r =
-      impl_->trees.revalidate_after_reclaim(base, reclaimed, clock_after);
+      impl_->trees.revalidate_after_reclaim(impl_->graph->base(), reclaimed,
+                                            clock_after);
   return {r.kept, r.dropped};
-}
-
-std::int64_t UfpWorkspace::warm_tree_hits() const {
-  return impl_->retired_warm_trees +
-         (impl_->cache ? impl_->cache->warm_trees_served() : 0);
-}
-
-std::int64_t UfpWorkspace::warm_entries_served() const {
-  return impl_->retired_warm_entries +
-         (impl_->cache ? impl_->cache->warm_entries_served() : 0);
-}
-
-std::int64_t UfpWorkspace::shard_plan_builds() const {
-  return impl_->retired_plan_builds +
-         (impl_->cache ? impl_->cache->plan_builds() : 0);
-}
-
-std::int64_t UfpWorkspace::shard_plan_reuses() const {
-  return impl_->retired_plan_reuses +
-         (impl_->cache ? impl_->cache->plan_reuses() : 0);
 }
 
 }  // namespace tufp

@@ -6,21 +6,26 @@
 //     pool and source-shard plan reused across epochs via rebind();
 //   * the cross-epoch settled-tree cache (graph/residual_csr.hpp) that
 //     lets an epoch's first refresh skip Dijkstra runs whose stored
-//     trees are still stamp-valid.
+//     trees are still stamp-valid;
+//   * the epoch-start solve arrays a clean epoch reuses.
 //
-// Passing a workspace to the ResidualView solver overloads is purely an
-// optimization: results are bitwise identical with or without one (the
-// config-diff sim oracle enforces this). The engine keeps one
-// workspace per world; standalone callers may simply pass nullptr.
+// A workspace is bound at construction to one residual graph, thread
+// count and shortest-path kernel, the three things an engine never
+// changes. It serves only bounded_ufp's view overload, and results are
+// bitwise identical to a fresh solve (the config-diff sim oracle
+// enforces this). The engine keeps one workspace per world.
 #pragma once
 
 #include <cstdint>
 #include <memory>
 #include <span>
 
+#include "tufp/graph/dijkstra.hpp"
 #include "tufp/graph/graph.hpp"
 
 namespace tufp {
+
+class ResidualGraph;
 
 namespace detail {
 class WorkspaceAccess;
@@ -28,15 +33,18 @@ class WorkspaceAccess;
 
 class UfpWorkspace {
  public:
-  UfpWorkspace();
+  // `graph` must outlive the workspace. num_threads as for
+  // effective_num_threads (util/parallel.hpp).
+  UfpWorkspace(const ResidualGraph& graph, int num_threads, SpKernel kernel);
   ~UfpWorkspace();
   UfpWorkspace(UfpWorkspace&&) noexcept;
   UfpWorkspace& operator=(UfpWorkspace&&) noexcept;
   UfpWorkspace(const UfpWorkspace&) = delete;
   UfpWorkspace& operator=(const UfpWorkspace&) = delete;
 
-  // Drops all cached state (caches, trees, counters). Required whenever
-  // the underlying residual graph is reset (its stamp clock restarts).
+  // Drops all cached state (caches, trees, counters) and keeps the
+  // binding. Required whenever the underlying residual graph is reset
+  // (its stamp clock restarts).
   void clear();
 
   // Per-tree reclaim revalidation over the cross-epoch tree cache
@@ -50,15 +58,8 @@ class UfpWorkspace {
     std::int64_t kept = 0;
     std::int64_t dropped = 0;
   };
-  ReclaimRevalidation revalidate_warm_trees(const Graph& base,
-                                            std::span<const EdgeId> reclaimed,
+  ReclaimRevalidation revalidate_warm_trees(std::span<const EdgeId> reclaimed,
                                             std::int64_t clock_after);
-
-  // Telemetry (monotone over the workspace lifetime, zeroed by clear()).
-  std::int64_t warm_tree_hits() const;      // shards served from stored trees
-  std::int64_t warm_entries_served() const; // entries those shards covered
-  std::int64_t shard_plan_builds() const;
-  std::int64_t shard_plan_reuses() const;
 
  private:
   friend class detail::WorkspaceAccess;

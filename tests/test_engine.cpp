@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <memory>
 #include <vector>
@@ -9,6 +10,7 @@
 #include "tufp/engine/request_stream.hpp"
 #include "tufp/mechanism/allocation_rule.hpp"
 #include "tufp/mechanism/critical_payment.hpp"
+#include "tufp/sim/snapshot.hpp"
 #include "tufp/workload/scenarios.hpp"
 
 namespace tufp {
@@ -187,7 +189,10 @@ TEST(EpochEngine, NonePolicyChargesNothing) {
 TEST(EpochEngine, CriticalPaymentsMatchTheOfflineMechanism) {
   // A single epoch over a fresh network is exactly the paper's one-shot
   // auction: the engine's critical payments must agree with
-  // run_ufp_mechanism on the same instance and solver config.
+  // run_ufp_mechanism on the same instance and solver config. The second
+  // epoch prices over a residual with saturated edges, which the engine
+  // sees as a blocked mask; its payments must equal the generic bisection
+  // over the instance those edges compile away from.
   const StreamingScenario scenario =
       make_streaming_grid_scenario(4, 4, 3.0, ValueModel::kUniform);
 
@@ -197,14 +202,17 @@ TEST(EpochEngine, CriticalPaymentsMatchTheOfflineMechanism) {
   config.record_allocations = true;
   EpochEngine engine(scenario.graph, config);
 
-  PoissonStream stream(scenario.graph, scenario.request_config, 100.0, 40, 23);
+  PoissonStream stream(scenario.graph, scenario.request_config, 100.0, 80, 23);
   std::vector<TimedRequest> batch;
+  std::vector<TimedRequest> batch2;
   TimedRequest t;
-  while (stream.next(&t)) batch.push_back(t);
+  while (stream.next(&t)) (batch.size() < 40 ? batch : batch2).push_back(t);
   ASSERT_EQ(batch.size(), 40u);
+  ASSERT_EQ(batch2.size(), 40u);
 
   const AdmissionReport report = engine.run_epoch(batch);
   ASSERT_GT(report.admitted, 0);
+  ASSERT_EQ(report.saturated_edges, 0);
 
   std::vector<Request> requests;
   for (const TimedRequest& tr : batch) requests.push_back(tr.request);
@@ -221,6 +229,28 @@ TEST(EpochEngine, CriticalPaymentsMatchTheOfflineMechanism) {
     EXPECT_NEAR(a.payment,
                 offline.payments[static_cast<std::size_t>(a.request)], 1e-9);
   }
+
+  const std::vector<double> epoch_start(engine.residual().begin(),
+                                        engine.residual().end());
+  const AdmissionReport report2 = engine.run_epoch(batch2);
+  ASSERT_GT(report2.saturated_edges, 0);
+  const sim::GraphSnapshot snap = sim::GraphSnapshot::compile(
+      scenario.graph, epoch_start, config.min_usable_capacity);
+  ASSERT_EQ(snap.num_saturated_edges(), report2.saturated_edges);
+  std::vector<Request> requests2;
+  for (const TimedRequest& tr : batch2) requests2.push_back(tr.request);
+  const UfpInstance instance2(snap.graph(), std::move(requests2));
+  const UfpRule rule = make_bounded_ufp_rule(solver);
+  const UfpSolution allocation2 = rule(instance2);
+  ASSERT_EQ(allocation2.num_selected(), report2.admitted);
+  int paying = 0;
+  for (const AdmissionRecord& a : report2.allocations) {
+    ASSERT_TRUE(allocation2.is_selected(a.request));
+    const double critical = ufp_critical_value(instance2, rule, a.request);
+    EXPECT_EQ(a.payment, std::min(critical, a.bid)) << "request " << a.request;
+    if (a.payment > 0.0) ++paying;
+  }
+  EXPECT_GT(paying, 0);
 }
 
 TEST(EpochEngine, SaturatedNetworkRejectsWithoutAnAuction) {

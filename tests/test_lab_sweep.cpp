@@ -47,8 +47,8 @@ TEST(LabSolvers, ExactGatesItselfOnLargeInstances) {
       sim::generate_world({sim::WorldFamily::kGrid, 9});
   LabSolveConfig config;
   config.exact_max_requests = 1;
-  const lab::LabSolve solve = lab::run_solver_on_instance(
-      *lab::find_solver("exact"), world.instance.normalized(), config);
+  const lab::LabSolve solve =
+      lab::find_solver("exact")->fn(world.instance.normalized(), config);
   EXPECT_FALSE(solve.ran);
   EXPECT_FALSE(solve.note.empty());
 }

@@ -199,23 +199,33 @@ struct WithheldCoverage {
 // make_bounded_ufp_rule(cfg), compared with EXPECT_EQ on every winner, and
 // each payment inside the bracket around the exact threshold: the minimum
 // over rounds of the bid at which the winner beats that round's selection.
+// The fast overload prices over a residual view, as the engine does.
+// Flooring the instance's graph at its own min capacity leaves every edge
+// active, so the view and the instance pose the same problem.
+ResidualGraph all_active(const UfpInstance& inst) {
+  return ResidualGraph(inst.shared_graph(), inst.graph().min_capacity());
+}
+
 void expect_fast_equals_generic(const UfpInstance& inst,
                                 const BoundedUfpConfig& cfg,
                                 WithheldCoverage* coverage) {
   const UfpRule rule = make_bounded_ufp_rule(cfg);
   const UfpSolution allocation = rule(inst);
+  ResidualGraph rg = all_active(inst);
   PaymentOptions options;
   for (int r = 0; r < inst.num_requests(); ++r) {
     if (!allocation.is_selected(r)) continue;
     ++coverage->winners;
-    const double fast = ufp_critical_value(inst, cfg, r, options);
+    const double fast =
+        ufp_critical_value(rg.view(), inst.requests(), cfg, r, options);
     const double generic = ufp_critical_value(inst, rule, r, options);
     EXPECT_EQ(fast, generic) << "request " << r;
 
     const double demand = inst.request(r).demand;
     double theta = kInf;
     bool set_by_last = false;
-    for (const WithheldRound& round : bounded_ufp_withheld(inst, cfg, r)) {
+    for (const WithheldRound& round :
+         bounded_ufp_withheld(rg.view(), inst.requests(), cfg, r)) {
       if (!round.fits) {
         ++coverage->guard_skips;
         continue;
@@ -294,7 +304,8 @@ TEST(CriticalPaymentFast, PowerOfTwoBidTiesSettleByRequestId) {
                      : UfpInstance(std::move(g), {rival, winner});
     const int r = winner_first ? 0 : 1;
     const BoundedUfpConfig cfg;
-    const double fast = ufp_critical_value(inst, cfg, r);
+    ResidualGraph rg = all_active(inst);
+    const double fast = ufp_critical_value(rg.view(), inst.requests(), cfg, r);
     EXPECT_EQ(fast, ufp_critical_value(inst, make_bounded_ufp_rule(cfg), r));
     if (winner_first) {
       EXPECT_EQ(fast, 2.0);  // the tie itself wins
@@ -312,8 +323,9 @@ TEST(CriticalPaymentFast, LoneWinnerIsTheLastRequestLeft) {
   g.add_edge(0, 1, 10.0);
   g.finalize();
   const UfpInstance inst(std::move(g), {{0, 1, 1.0, 5.0}});
+  ResidualGraph rg = all_active(inst);
   const std::vector<WithheldRound> rounds =
-      bounded_ufp_withheld(inst, BoundedUfpConfig{}, 0);
+      bounded_ufp_withheld(rg.view(), inst.requests(), BoundedUfpConfig{}, 0);
   ASSERT_EQ(rounds.size(), 1u);
   EXPECT_EQ(rounds[0].winner, -1);
   EXPECT_TRUE(rounds[0].fits);

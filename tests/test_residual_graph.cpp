@@ -117,12 +117,6 @@ TEST(ResidualGraph, ViewIsANonOwningWindow) {
   EXPECT_EQ(rg.residual()[2], 1.0);
   EXPECT_EQ(view.residual()[2], 1.0);
   EXPECT_EQ(view.clock(), rg.clock());
-
-  // make_instance materializes the base graph for offline consumers.
-  std::vector<Request> requests{{0, 2, 1.0, 5.0}};
-  const UfpInstance instance = view.make_instance(requests);
-  EXPECT_EQ(instance.graph().num_vertices(), 3);
-  EXPECT_EQ(instance.num_requests(), 1);
 }
 
 TEST(GenerationMap, AdvanceIsAWholesaleReset) {
@@ -316,10 +310,6 @@ TEST(ResidualGraph, EngineExposesPersistentStateAndTelemetry) {
   // residual() reads through the store.
   EpochEngine engine(base, EpochEngineConfig{});
   EXPECT_EQ(engine.residual().data(), engine.residual_graph().residual().data());
-  EXPECT_GE(engine.workspace().warm_tree_hits(), 0);
-  EXPECT_GE(engine.workspace().warm_entries_served(), 0);
-  EXPECT_GE(engine.workspace().shard_plan_builds(), 0);
-  EXPECT_GE(engine.workspace().shard_plan_reuses(), 0);
 
   TimedRequest req;
   req.arrival_time = 0.0;

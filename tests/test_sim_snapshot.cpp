@@ -1,4 +1,4 @@
-#include "tufp/engine/snapshot.hpp"
+#include "tufp/sim/snapshot.hpp"
 
 #include <gtest/gtest.h>
 
@@ -8,7 +8,7 @@
 
 #include "tufp/graph/generators.hpp"
 
-namespace tufp {
+namespace tufp::sim {
 namespace {
 
 std::shared_ptr<const Graph> small_grid(double capacity) {
@@ -109,4 +109,4 @@ TEST(GraphSnapshot, RejectsBadInputs) {
 }
 
 }  // namespace
-}  // namespace tufp
+}  // namespace tufp::sim
