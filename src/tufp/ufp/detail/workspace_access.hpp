@@ -47,20 +47,17 @@ struct EpochSolveState {
 
 struct UfpWorkspace::Impl {
   Impl(const ResidualGraph& rgraph, int threads, SpKernel sp_kernel)
-      : graph(&rgraph),
-        num_threads(threads),
-        kernel(sp_kernel),
-        cache(rgraph.base(), {}, threads, sp_kernel) {
-    cache.set_warm_context(graph, &trees);
-  }
+      : graph(&rgraph), num_threads(threads), kernel(sp_kernel) {}
 
   // The binding, fixed for the workspace's lifetime.
   const ResidualGraph* graph;
   int num_threads;
   SpKernel kernel;
 
+  // Built by the first solve: constructing an engine allocates no
+  // per-thread search engines (O(n) each) before there is a batch.
+  std::unique_ptr<detail::SpCache> cache;
   SourceTreeCache trees;
-  detail::SpCache cache;
   detail::EpochSolveState solve_state;
 };
 
@@ -81,8 +78,14 @@ class WorkspaceAccess {
     TUFP_REQUIRE(num_threads == state.num_threads && kernel == state.kernel,
                  "the solve's num_threads and sp_kernel must match the "
                  "workspace's");
-    state.cache.rebind(requests);
-    return state.cache;
+    if (state.cache == nullptr) {
+      state.cache = std::make_unique<SpCache>(state.graph->base(), requests,
+                                              num_threads, kernel);
+      state.cache->set_warm_context(state.graph, &state.trees);
+    } else {
+      state.cache->rebind(requests);
+    }
+    return *state.cache;
   }
 
   static EpochSolveState& solve_state(UfpWorkspace& ws) {
