@@ -193,7 +193,8 @@ std::vector<WithheldRound> bounded_ufp_withheld(
 // least one active edge. The workspace must be bound to the view's
 // residual graph and to config's num_threads and sp_kernel; it reuses
 // the shortest-path cache, shard plan and cross-epoch settled trees
-// across calls, and results are bitwise identical to a fresh solve.
+// across calls, and results are bitwise identical to bounded_ufp over
+// the instance the view's active edges compile to (sim/snapshot.hpp).
 BoundedUfpResult bounded_ufp(const ResidualView& view,
                              std::span<const Request> requests,
                              const BoundedUfpConfig& config,

@@ -11,9 +11,10 @@
 //
 // A workspace is bound at construction to one residual graph, thread
 // count and shortest-path kernel, the three things an engine never
-// changes. It serves only bounded_ufp's view overload, and results are
-// bitwise identical to a fresh solve (the config-diff sim oracle
-// enforces this). The engine keeps one workspace per world.
+// changes. It serves only bounded_ufp's view overload, whose results
+// are bitwise identical to bounded_ufp over the instance the view's
+// active edges compile to (the config-diff sim oracle enforces this).
+// The engine keeps one workspace per world.
 #pragma once
 
 #include <cstdint>
